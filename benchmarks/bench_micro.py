@@ -230,12 +230,14 @@ class TestEngineScaling:
     def test_serial_vs_parallel_throughput(self, report, bench_record):
         """Serial-vs-N-workers executions/sec on one exhaustive scenario.
 
-        The same decision tree (ms-queue/ra, 3 threads x 1 op: ~9.5k
-        executions) is enumerated serially and through the sharded engine
-        at 2 and 4 workers; the telemetry counters give the throughput
-        row.  The >1.5x speedup assertion only applies on machines with
-        at least 4 cores — on fewer cores the row is still printed so the
-        overhead of sharding is visible.
+        The same decision tree (ms-queue/ra, 3 threads x 1 op: 106
+        executions under sleep-set DPOR, about 0.1 s of serial work) is
+        enumerated serially and through the sharded engine at 2 and 4
+        workers; the telemetry counters give the throughput row.  A tree
+        this small mostly times pool start-up.  The >1.5x speedup
+        assertion only applies on machines with at least 4 cores — on
+        fewer cores the row is still printed so the overhead of sharding
+        is visible, and is recorded with ``asserts_scaling: false``.
         """
         from repro.engine import (EngineParams, ScenarioSpec,
                                   build_scenario, run_scenario)
@@ -267,7 +269,8 @@ class TestEngineScaling:
         bench_record("engine-scaling", scenario=scenario.name, cores=cores,
                      executions=execs[1],
                      exec_per_sec={str(w): round(rates[w], 1)
-                                   for w in rates})
+                                   for w in rates},
+                     asserts_scaling=cores >= max(rates))
         report(f"E9 engine scaling — {scenario.name} ({cores} cores)",
                "\n".join(rows))
         if cores >= 4:
@@ -276,12 +279,15 @@ class TestEngineScaling:
     def test_dist_scaling(self, report, bench_record):
         """Coordinator + N localhost nodes vs the serial run.
 
-        The same exhaustive tree (ms-queue/ra, 3 threads x 1 op) is
+        The same exhaustive tree (ms-queue/ra, 3 threads x 1 op: 106
+        executions under sleep-set DPOR, about 0.1 s of serial work) is
         enumerated through the distributed layer with one and two worker
         node *processes* on localhost.  The merged counts must equal the
         serial run exactly — the throughput row then shows what the
         lease/TCP round-trips cost (and recover, with a second core)
-        relative to the in-process pool.
+        relative to the in-process pool.  On fewer cores than nodes the
+        row cannot show scaling and is recorded with
+        ``asserts_scaling: false``.
         """
         import multiprocessing
         import threading
@@ -338,7 +344,8 @@ class TestEngineScaling:
                      executions=serial.report.executions,
                      exec_per_sec={"serial": round(rates[0], 1),
                                    "nodes-1": round(rates[1], 1),
-                                   "nodes-2": round(rates[2], 1)})
+                                   "nodes-2": round(rates[2], 1)},
+                     asserts_scaling=cores >= max(rates))
         report(f"E9 distributed scaling — {scenario.name} "
                f"({cores} cores)", "\n".join(rows))
 

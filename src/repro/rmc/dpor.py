@@ -12,8 +12,8 @@ provably preserving the set of reachable final states — see
 The pieces:
 
 * :func:`independent` — a conservative commutation check over the
-  operation footprints (`repro.rmc.ops.Footprint`) the machine computes
-  for every enabled thread before each scheduling decision;
+  operation footprints (`repro.rmc.ops.Footprint`) of the enabled
+  threads' pending operations at a scheduling decision;
 * :class:`SleepSetDecider` — a `repro.rmc.scheduler.Decider` that follows
   a prefix and then descends leftmost-*awake*, maintaining the sleep set
   along the path and aborting the replay (:class:`SleepSetCut`) when
@@ -21,6 +21,13 @@ The pieces:
 * :func:`explore_all_dpor` — the drop-in replacement for ``explore_all``:
   the same stateless replay loop, backtracking only to awake siblings and
   counting every skipped branch in :class:`DporStats`.
+
+Each replay re-executes its prefix, but does not redo the prefix's
+bookkeeping: the decider of the next replay inherits the previous one's
+footprints and entry sleep sets up to the backtrack point, so the
+machine computes footprints only for the decisions past it (and caches
+them per thread within a run).  See "Replay bookkeeping" in
+``docs/dpor.md``.
 
 Sleep sets are a *path* property: the sleep set at any node is a pure
 function of the decisions leading to it.  That is what makes the
@@ -144,12 +151,21 @@ class SleepSetDecider(Decider):
     sleep state irrelevant.  ``pruned`` counts branches skipped during
     the descent (leading asleep siblings, plus all ``n`` branches of a
     cut node).
+
+    ``inherit`` is ``(footprints, entry_sleeps)`` of the previous replay
+    cut at its backtrack depth ``j`` (both of length ``j + 1``), where
+    ``prefix`` is that replay's path to node ``j`` plus the sibling to
+    take there.  Both are pure functions of the path, so they are reused
+    rather than recomputed: decisions below ``j`` just follow the
+    prefix, node ``j`` computes the sleep set of its new branch once, and
+    the machine computes footprints only past ``j`` (:attr:`inherited`).
     """
 
     wants_footprints = True
 
     def __init__(self, prefix: Sequence[int] = (), pin: int = 0,
-                 entry_sleep: Optional[Dict[int, Footprint]] = None):
+                 entry_sleep: Optional[Dict[int, Footprint]] = None,
+                 inherit: Optional[Tuple[Sequence, Sequence]] = None):
         super().__init__()
         self.prefix = list(prefix)
         self.pin = pin
@@ -164,11 +180,32 @@ class SleepSetDecider(Decider):
         self.entry_sleeps: List[Dict[int, Footprint]] = []
         #: Branches skipped during this replay's descent.
         self.pruned = 0
+        if inherit is not None:
+            fps, sleeps = inherit
+            if not (len(fps) == len(sleeps) <= len(self.prefix)):
+                raise ValueError("inherited bookkeeping does not match "
+                                 "the prefix")
+            self.footprints = list(fps)
+            self.entry_sleeps = list(sleeps)
+            self.inherited = len(fps)
 
     def choose(self, n: int, footprints=None) -> int:
         if n <= 0:
             raise ValueError("decision with no alternatives")
         i = len(self.trace)
+        if i < self.inherited:
+            # Footprints and entry sleep of this node are inherited.
+            c = self.prefix[i]
+            if not 0 <= c < n:
+                raise ValueError(f"decider chose {c} out of {n}")
+            if i == self.inherited - 1:
+                # The backtrack node: the sleep set below its new branch.
+                self.sleep = self.entry_sleeps[i]
+                f = self.footprints[i]
+                if f is not None and i >= self.pin:
+                    self.sleep = child_sleep(f, c, self.sleep)
+            self.trace.append((n, c))
+            return c
         if i == self.pin and self.pin:
             self.sleep = dict(self.entry)
         self.footprints.append(footprints)
@@ -218,7 +255,8 @@ class DporStats:
 
 
 def _next_prefix(decider: SleepSetDecider, base_len: int,
-                 stats: Optional[DporStats]) -> Optional[List[int]]:
+                 stats: Optional[DporStats]
+                 ) -> Optional[Tuple[List[int], int]]:
     """The deepest unexplored *awake* sibling, as a replay prefix.
 
     The sleep-set analogue of ``explore_all``'s rightmost-untried-sibling
@@ -227,6 +265,9 @@ def _next_prefix(decider: SleepSetDecider, base_len: int,
     earlier branches put to sleep) and skip — counting as pruned —
     siblings whose thread is asleep.  Backtracking never crosses above
     ``base_len`` (the shard-root pin).
+
+    Returns ``(prefix, j)``, ``j`` being the backtrack depth (the prefix
+    has length ``j + 1``), or None when the subtree is exhausted.
     """
     trace = decider.trace
     fps = decider.footprints
@@ -237,7 +278,7 @@ def _next_prefix(decider: SleepSetDecider, base_len: int,
         f = fps[j]
         if f is None:  # read decision: plain in-order enumeration
             if c + 1 < n:
-                return [trace[i][1] for i in range(j)] + [c + 1]
+                return [trace[i][1] for i in range(j)] + [c + 1], j
             j -= 1
             continue
         sleep_now = dict(sleeps[j])
@@ -251,7 +292,7 @@ def _next_prefix(decider: SleepSetDecider, base_len: int,
                 if stats is not None:
                     stats.pruned_subtrees += 1
                 continue
-            return [trace[i][1] for i in range(j)] + [k]
+            return [trace[i][1] for i in range(j)] + [k], j
         j -= 1
     return None
 
@@ -281,13 +322,18 @@ def explore_all_dpor(
     hook: `repro.engine.shard.plan_exhaustive_shards_dpor` computes
     matching (prefix, sleep) pairs so that disjoint shards concatenate,
     in prefix order, to exactly the ``prefix=()`` enumeration.
+
+    Every replay after the first inherits the previous replay's
+    bookkeeping up to the backtrack depth (see `SleepSetDecider`).
     """
     base = list(prefix)
     entry = {fp.thread: fp for fp in sleep}
     cur: List[int] = list(base)
+    inherit = None
     executions = 0
     while executions < max_executions:
-        decider = SleepSetDecider(cur, pin=len(base), entry_sleep=entry)
+        decider = SleepSetDecider(cur, pin=len(base), entry_sleep=entry,
+                                  inherit=inherit)
         try:
             result = factory().run(decider, max_steps=max_steps,
                                    race_detection=race_detection,
@@ -302,4 +348,5 @@ def explore_all_dpor(
         nxt = _next_prefix(decider, len(base), stats)
         if nxt is None:
             return
-        cur = nxt
+        cur, j = nxt
+        inherit = (decider.footprints[:j + 1], decider.entry_sleeps[:j + 1])

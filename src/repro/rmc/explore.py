@@ -1,11 +1,20 @@
 """Execution-space exploration: exhaustive (stateless DFS) and randomized.
 
-The exhaustive explorer enumerates the complete decision tree of a bounded
-program by *replay*: each execution is rerun from scratch under a
-`repro.rmc.scheduler.PrefixDecider`; the recorded trace of
-``(arity, chosen)`` pairs identifies the rightmost decision with an untried
-sibling, which becomes the next prefix.  This is classic stateless model
-checking (generators cannot be snapshotted, so replay is the honest way).
+The exhaustive explorers enumerate the decision tree of a bounded program
+by *replay*: each execution is rerun from the start under a decider that
+follows a prefix, and the recorded trace of ``(arity, chosen)`` pairs
+yields the next prefix.  This is classic stateless model checking
+(generators cannot be snapshotted, so replay is the honest way).
+
+* :func:`explore_all` is the naive enumeration: a
+  `repro.rmc.scheduler.PrefixDecider` replays the prefix and the
+  rightmost decision with an untried sibling becomes the next prefix.
+* `repro.rmc.dpor.explore_all_dpor` is the sleep-set-reduced enumeration
+  that :func:`check_all` (and every exhaustive entry point) uses by
+  default: it backtracks only to awake siblings, and each replay inherits
+  the previous replay's bookkeeping up to the backtrack point (see
+  ``docs/dpor.md``).
+* :func:`explore_random` runs seeded random schedules instead.
 
 It plays the role the Coq proofs play in the paper: instead of proving a
 consistency condition for *all* executions, we enumerate all executions of

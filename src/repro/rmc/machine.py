@@ -35,19 +35,24 @@ from typing import Any, Dict, Generator, List, Optional
 from .memory import Memory
 from .message import Message
 from .modes import FENCE_MODES, Mode, READ_MODES, RMW_MODES, WRITE_MODES
-from .ops import (Alloc, Cas, Faa, Fence, GhostCommit, Load, Op, Store,
-                  Xchg, op_footprint)
+from .ops import (Alloc, Cas, Faa, Fence, Footprint, GhostCommit, Load, Op,
+                  Store, Xchg, op_footprint)
 from .races import RaceError, SteppingError
 from .scheduler import Decider
 from .view import EMPTY_VIEW, View
 
 
 class ThreadState:
-    """Mutable per-thread machine state."""
+    """Mutable per-thread machine state.
+
+    ``footprint`` caches `op_footprint` of ``pending``: it is computed the
+    first time a scheduling decision needs it and cleared whenever the
+    thread advances to a new pending op (`Machine._advance`).
+    """
 
     __slots__ = (
         "tid", "gen", "view", "rel_view", "acq_cache",
-        "clock", "tau", "finished", "retval", "pending",
+        "clock", "tau", "finished", "retval", "pending", "footprint",
     )
 
     def __init__(self, tid: int, gen: Generator, tau: int):
@@ -61,6 +66,7 @@ class ThreadState:
         self.finished = False
         self.retval: Any = None
         self.pending: Optional[Op] = None
+        self.footprint: Optional[Footprint] = None
 
 
 class CommitCtx:
@@ -153,25 +159,28 @@ class Machine:
     def run(self) -> ExecutionResult:
         race: Optional[RaceError] = None
         truncated = False
+        decider = self.decider
+        threads = self.threads
+        wants_footprints = decider.wants_footprints
         try:
-            for th in self.threads:
+            for th in threads:
                 self._advance(th, None)  # prime: run to the first yield
             while True:
-                enabled = [t.tid for t in self.threads if not t.finished]
+                enabled = [t.tid for t in threads if not t.finished]
                 if not enabled:
                     break
                 if self.steps >= self.max_steps:
                     truncated = True
                     break
-                if self.decider.wants_footprints:
-                    fps = tuple(
-                        op_footprint(t, self.threads[t].pending,
-                                     self.sc_upgrade,
-                                     model=self.model) for t in enabled)
-                    tid = self.decider.choose_thread(enabled, fps)
+                # Decisions below `decider.inherited` already have their
+                # footprints (docs/dpor.md, "Replay bookkeeping").
+                if wants_footprints and \
+                        len(decider.trace) >= decider.inherited:
+                    tid = decider.choose_thread(enabled,
+                                                self._footprints(enabled))
                 else:
-                    tid = self.decider.choose_thread(enabled)
-                self._step(self.threads[tid])
+                    tid = decider.choose_thread(enabled)
+                self._step(threads[tid])
         except RaceError as err:
             race = err
         return ExecutionResult(
@@ -184,7 +193,26 @@ class Machine:
             trace=self.decider.trace,
         )
 
+    def _footprints(self, enabled: List[int]) -> tuple:
+        """The pending-op footprint of each enabled thread, from the
+        per-thread cache where it is still valid.
+
+        `op_footprint` is looked up as this module's global on purpose:
+        the per-layer tracer hooks that name.
+        """
+        fps = []
+        for tid in enabled:
+            th = self.threads[tid]
+            fp = th.footprint
+            if fp is None:
+                fp = th.footprint = op_footprint(tid, th.pending,
+                                                 self.sc_upgrade,
+                                                 model=self.model)
+            fps.append(fp)
+        return tuple(fps)
+
     def _advance(self, th: ThreadState, send_value: Any) -> None:
+        th.footprint = None
         try:
             th.pending = th.gen.send(send_value)
         except StopIteration as stop:
@@ -206,36 +234,11 @@ class Machine:
             op.mode = Mode.SC
             if isinstance(op, Cas):
                 op.fail_mode = Mode.SC
-        if isinstance(op, Load):
-            if op.mode not in READ_MODES:
-                raise SteppingError(f"load cannot be {op.mode}")
-            return self._do_load(th, op)
-        if isinstance(op, Store):
-            if op.mode not in WRITE_MODES:
-                raise SteppingError(f"plain store cannot be {op.mode}")
-            return self._do_store(th, op)
-        if isinstance(op, Cas):
-            if op.mode not in RMW_MODES:
-                raise SteppingError(f"CAS cannot be {op.mode}")
-            return self._do_cas(th, op)
-        if isinstance(op, Faa):
-            if op.mode not in RMW_MODES:
-                raise SteppingError(f"FAA cannot be {op.mode}")
-            return self._do_rmw(th, op, lambda old: old + op.delta)
-        if isinstance(op, Xchg):
-            if op.mode not in RMW_MODES:
-                raise SteppingError(f"XCHG cannot be {op.mode}")
-            return self._do_rmw(th, op, lambda _old: op.val)
-        if isinstance(op, Fence):
-            if op.mode not in FENCE_MODES:
-                raise SteppingError(f"fence cannot be {op.mode}")
-            return self._do_fence(th, op)
-        if isinstance(op, Alloc):
-            return [self.memory.alloc(op.name, init) for init in op.inits]
-        if isinstance(op, GhostCommit):
-            op.commit(CommitCtx(self, th, op))
-            return None
-        raise SteppingError(f"unknown operation {op!r}")
+        entry = _STEPS.get(type(op)) or _step_entry(op)
+        handler, what, modes = entry
+        if modes is not None and op.mode not in modes:
+            raise SteppingError(f"{what} cannot be {op.mode}")
+        return handler(self, th, op)
 
     def _tick(self, th: ThreadState) -> None:
         """Bump the thread's race-detector clock for a new access."""
@@ -303,6 +306,12 @@ class Machine:
         self.model.post_access(self.memory, th, mode)
         return out
 
+    def _do_faa(self, th: ThreadState, op: Faa) -> Any:
+        return self._do_rmw(th, op, lambda old: old + op.delta)
+
+    def _do_xchg(self, th: ThreadState, op: Xchg) -> Any:
+        return self._do_rmw(th, op, lambda _old: op.val)
+
     def _do_rmw(self, th: ThreadState, op, compute) -> Any:
         mode = self.model.rmw_mode(op.mode)
         self._tick(th)
@@ -339,6 +348,38 @@ class Machine:
     # -- fences -----------------------------------------------------------
     def _do_fence(self, th: ThreadState, op: Fence) -> None:
         self.model.fence(self.memory, th, self.model.fence_mode(op.mode))
+
+    # -- allocation and ghost commits --------------------------------------
+    def _do_alloc(self, th: ThreadState, op: Alloc) -> List[int]:
+        return [self.memory.alloc(op.name, init) for init in op.inits]
+
+    def _do_ghost(self, th: ThreadState, op: GhostCommit) -> None:
+        op.commit(CommitCtx(self, th, op))
+
+
+#: Step dispatch: op type -> (handler, name in mode errors, legal modes or
+#: None for ops without a mode).
+_STEPS = {
+    Load: (Machine._do_load, "load", READ_MODES),
+    Store: (Machine._do_store, "plain store", WRITE_MODES),
+    Cas: (Machine._do_cas, "CAS", RMW_MODES),
+    Faa: (Machine._do_faa, "FAA", RMW_MODES),
+    Xchg: (Machine._do_xchg, "XCHG", RMW_MODES),
+    Fence: (Machine._do_fence, "fence", FENCE_MODES),
+    Alloc: (Machine._do_alloc, "alloc", None),
+    GhostCommit: (Machine._do_ghost, "ghost commit", None),
+}
+
+
+def _step_entry(op: Op):
+    """Dispatch entry of an op whose exact type is not in `_STEPS`: that
+    of its nearest registered base class (and cached under its type)."""
+    for base in type(op).__mro__[1:]:
+        entry = _STEPS.get(base)
+        if entry is not None:
+            _STEPS[type(op)] = entry
+            return entry
+    raise SteppingError(f"unknown operation {op!r}")
 
 
 def run(program, decider: Decider, max_steps: int = 100_000,

@@ -62,18 +62,9 @@ class Memory:
         """
         loc = self._next_component
         self._next_component += 1
-        cell = Location(loc=loc, name=name)
-        cell.history.append(
-            Message(
-                loc=loc,
-                ts=0,
-                val=init,
-                view=EMPTY_VIEW,
-                writer=None,
-                wclock=0,
-                is_na=False,
-            )
-        )
+        cell = Location(loc, name)
+        # Positional: this runs for every cell of every run's setup.
+        cell.history.append(Message(loc, 0, init, EMPTY_VIEW, None, 0, False))
         self.locations[loc] = cell
         return loc
 
@@ -197,15 +188,8 @@ class Memory:
         is_na: bool,
     ) -> Message:
         cell = self.locations[loc]
-        msg = Message(
-            loc=loc,
-            ts=cell.next_ts,
-            val=val,
-            view=view,
-            writer=writer,
-            wclock=wclock,
-            is_na=is_na,
-        )
+        msg = Message(loc, len(cell.history), val, view, writer, wclock,
+                      is_na)
         cell.history.append(msg)
         if is_na:
             cell.has_na_write = True

@@ -15,15 +15,18 @@ substitution 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, NamedTuple, Optional
 
 from .view import View
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
     """A single write message in a location's history.
+
+    Immutable, and equal (and hashing equal) field by field.  A tuple
+    rather than a frozen dataclass because messages are built on every
+    write and every allocation, and a tuple is several times cheaper to
+    construct.
 
     Attributes:
         loc: location id the write targets.
@@ -53,20 +56,24 @@ class Message:
     is_na: bool
 
 
-@dataclass
 class Location:
     """A memory cell: identity, debug name, and its write history."""
 
-    loc: int
-    name: str
-    history: List[Message] = field(default_factory=list)
-    #: Per-thread clock of the latest non-atomic read (race detection).
-    na_read_marks: Dict[int, int] = field(default_factory=dict)
-    #: Per-thread clock of the latest atomic read (race detection: an
-    #: atomic read races with an unordered later non-atomic write).
-    at_read_marks: Dict[int, int] = field(default_factory=dict)
-    #: Fast path: locations never touched non-atomically skip race scans.
-    has_na_write: bool = False
+    __slots__ = ("loc", "name", "history", "na_read_marks", "at_read_marks",
+                 "has_na_write")
+
+    def __init__(self, loc: int, name: str):
+        self.loc = loc
+        self.name = name
+        self.history: List[Message] = []
+        #: Per-thread clock of the latest non-atomic read (race detection).
+        self.na_read_marks: Dict[int, int] = {}
+        #: Per-thread clock of the latest atomic read (race detection: an
+        #: atomic read races with an unordered later non-atomic write).
+        self.at_read_marks: Dict[int, int] = {}
+        #: Fast path: locations never touched non-atomically skip race
+        #: scans.
+        self.has_na_write = False
 
     @property
     def next_ts(self) -> int:

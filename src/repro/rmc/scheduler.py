@@ -26,10 +26,14 @@ Choice = Tuple[int, int]  # (arity, chosen)
 class Decider:
     """Base class; subclasses override :meth:`_choose`."""
 
-    #: Deciders that set this ask the machine to compute per-branch
-    #: operation footprints (`repro.rmc.ops.op_footprint`) for every
-    #: scheduling decision — the DPOR hook (`repro.rmc.dpor`).
+    #: Deciders that set this ask the machine to hand them per-branch
+    #: operation footprints (`repro.rmc.ops.op_footprint`) at scheduling
+    #: decisions — the DPOR hook (`repro.rmc.dpor`).
     wants_footprints = False
+    #: Leading decisions whose footprints the decider already holds (a
+    #: replay inheriting its prefix bookkeeping, `repro.rmc.dpor`): the
+    #: machine computes footprints only for decisions past them.
+    inherited = 0
 
     def __init__(self) -> None:
         self.trace: List[Choice] = []

@@ -3,6 +3,7 @@ equivalence suite (DPOR-on vs DPOR-off must agree on every observable
 verdict while exploring fewer interleavings)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.checking import check_scenario
 from repro.core import SpecStyle
@@ -10,9 +11,12 @@ from repro.engine import (ScenarioSpec, Shard, build_scenario, iter_shard,
                           plan_exhaustive_shards_dpor, stats_from_json,
                           stats_to_json)
 from repro.rmc import (ACQ, NA, RLX, SC, Alloc, Cas, Fence, Footprint,
-                       GhostCommit, Load, Program, Store, explore_all,
-                       explore_all_dpor, op_footprint)
+                       GhostCommit, Load, Program, SleepSetCut,
+                       SleepSetDecider, Store, explore_all, explore_all_dpor,
+                       op_footprint)
 from repro.rmc.dpor import DporStats, independent
+from repro.rmc.machine import Machine
+from repro.rmc.scheduler import Decider
 from repro.rmc.explore import RACE_TRACE_CAP, ExplorationStats
 from repro.rmc.litmus import CATALOGUE, na_publication, outcomes
 from tests.engine._support import assert_reports_equal, hw_spec, vyukov_spec
@@ -358,3 +362,189 @@ class TestShardDporPerModel:
             factory = CATALOGUE[name]
             assert outcomes(factory, dpor=True, model=model) == \
                 outcomes(factory, dpor=False, model=model), (name, model)
+
+
+# ----------------------------------------------------------------------
+# Replay bookkeeping: inherited prefixes and the per-thread footprint cache
+# ----------------------------------------------------------------------
+
+#: The implementations of the benchmark's exhaustive DPOR cells
+#: (``perfbench/workloads.py``).
+DPOR_IMPLS = ("vyukov-queue/rlx", "hw-queue/rlx", "ms-queue/ra",
+              "elim-stack", "treiber/rel-acq")
+#: Executions per scenario cell: enough for hundreds of inherited
+#: replays, small enough for the suite.
+CELL_EXECUTIONS = 250
+
+
+def stress_factory(impl, threads, ops, seed=0):
+    return build_scenario(ScenarioSpec("mixed-stress", kwargs={
+        "impl": impl, "threads": threads, "ops": ops,
+        "seed": seed})).factory
+
+
+def recording(factory, on_run):
+    """``factory`` whose programs call ``on_run(program, run, decider,
+    kwargs)`` in place of their own ``run``."""
+    def make():
+        program = factory()
+        run = program.run
+
+        def hooked(decider, **kwargs):
+            return on_run(program, run, decider, kwargs)
+        program.run = hooked
+        return program
+    return make
+
+
+def bookkeeping(decider):
+    return (list(decider.trace), list(decider.footprints),
+            list(decider.entry_sleeps), decider.pruned)
+
+
+def assert_inheritance_is_invisible(factory, **explore_kw):
+    """Every replay of an exploration, with the bookkeeping it inherited,
+    records exactly what a fresh `SleepSetDecider` records replaying the
+    same prefix from scratch.  Returns the number of inheriting replays."""
+    replays = []
+
+    def on_run(_program, run, decider, kwargs):
+        replays.append((decider, kwargs))
+        return run(decider, **kwargs)
+
+    list(explore_all_dpor(recording(factory, on_run), **explore_kw))
+    inheriting = 0
+    for decider, kwargs in replays:
+        fresh = SleepSetDecider(decider.prefix, pin=decider.pin,
+                                entry_sleep=decider.entry)
+        try:
+            factory().run(fresh, **kwargs)
+        except SleepSetCut:
+            pass
+        assert bookkeeping(decider) == bookkeeping(fresh), decider.prefix
+        inheriting += decider.inherited > 0
+    return inheriting
+
+
+class TestInheritedBookkeeping:
+    """A replay inherits the previous replay's footprints and entry sleep
+    sets up to the backtrack depth; that must be indistinguishable from
+    recomputing them."""
+
+    @pytest.mark.parametrize("name", sorted(CATALOGUE))
+    def test_litmus(self, name):
+        assert_inheritance_is_invisible(CATALOGUE[name], max_steps=400)
+
+    @pytest.mark.parametrize("shape", [(2, 1), (2, 2), (3, 1)],
+                             ids=lambda s: f"{s[0]}x{s[1]}")
+    @pytest.mark.parametrize("impl", DPOR_IMPLS)
+    def test_stress_cells(self, impl, shape):
+        factory = stress_factory(impl, *shape)
+        assert assert_inheritance_is_invisible(
+            factory, max_steps=2000, max_executions=CELL_EXECUTIONS) > 0
+
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 10_000),
+           impl=st.sampled_from(DPOR_IMPLS))
+    def test_script_seeds(self, seed, impl):
+        assert_inheritance_is_invisible(
+            stress_factory(impl, 2, 1, seed), max_steps=2000,
+            max_executions=CELL_EXECUTIONS)
+
+    def test_sharded_roots(self):
+        """Under a shard pin (``pin > 0``, inherited sleep set at the
+        root) inheritance is still invisible."""
+        factory = build_scenario(vyukov_spec()).factory
+        shards, _pruned = plan_exhaustive_shards_dpor(
+            factory, target=8, max_steps=400)
+        pinned = [s for s in shards if s.prefix and s.sleep]
+        assert pinned
+        for shard in pinned:
+            assert_inheritance_is_invisible(
+                factory, max_steps=400, prefix=shard.prefix,
+                sleep=shard.sleep)
+
+    def test_inherited_decisions_skip_footprints(self):
+        """The machine hands footprints only past the inherited prefix."""
+        handed = []
+
+        class Spy(SleepSetDecider):
+            def choose(self, n, footprints=None):
+                if footprints is not None:
+                    handed.append((len(self.trace), self.inherited))
+                return super().choose(n, footprints)
+
+        factory = CATALOGUE["SB+rlx"]
+        base = SleepSetDecider()
+        factory().run(base)
+        sched = [i for i, fp in enumerate(base.footprints) if fp is not None]
+        j = sched[len(sched) // 2]
+        prefix = [c for _n, c in base.trace[:j + 1]]
+        spy = Spy(prefix, inherit=(base.footprints[:j + 1],
+                                   base.entry_sleeps[:j + 1]))
+        factory().run(spy)
+        assert handed and all(i >= inherited for i, inherited in handed)
+        assert spy.footprints[:j + 1] == base.footprints[:j + 1]
+
+    def test_mismatched_inheritance_rejected(self):
+        with pytest.raises(ValueError):
+            SleepSetDecider([0], inherit=([None, None], [{}, {}]))
+
+
+class FootprintAudit(Decider):
+    """Wraps the explorer's decider and checks every footprint the
+    machine hands it against a fresh `op_footprint` of the thread's
+    pending op."""
+
+    wants_footprints = True
+
+    def __init__(self, inner, machine_kw):
+        super().__init__()
+        self.inner = inner
+        self.trace = inner.trace
+        self.inherited = inner.inherited
+        self.sc_upgrade = machine_kw.get("sc_upgrade", False)
+        self.machine = None
+        self.checked = 0
+
+    def choose(self, n, footprints=None):
+        if footprints is not None:
+            for fp in footprints:
+                pending = self.machine.threads[fp.thread].pending
+                assert fp == op_footprint(fp.thread, pending,
+                                          self.sc_upgrade,
+                                          model=self.machine.model)
+            self.checked += len(footprints)
+        return self.inner.choose(n, footprints)
+
+
+class TestFootprintCache:
+    """Cached per-thread footprints equal freshly computed ones, under
+    every mode-changing knob."""
+
+    FACTORIES = [CATALOGUE["SB+rlx"], CATALOGUE["MP+rel+acq"],
+                 CATALOGUE["IRIW+acq"],
+                 stress_factory("ms-queue/ra", 2, 1),
+                 stress_factory("treiber/rel-acq", 2, 1),
+                 stress_factory("elim-stack", 2, 1)]
+
+    @pytest.mark.parametrize("model,sc_upgrade", [
+        ("orc11", False), ("tso", False), ("sc", False), ("orc11", True)])
+    def test_cached_footprints_are_fresh(self, model, sc_upgrade):
+        audits = []
+
+        def on_run(program, _run, decider, kwargs):
+            audit = FootprintAudit(decider, kwargs)
+            machine = Machine(program, audit, kwargs["max_steps"],
+                              kwargs["race_detection"],
+                              sc_upgrade=kwargs["sc_upgrade"],
+                              model=kwargs["model"])
+            audit.machine = machine
+            audits.append(audit)
+            return machine.run()
+
+        for factory in self.FACTORIES:
+            list(explore_all_dpor(recording(factory, on_run),
+                                  max_steps=2000, max_executions=40,
+                                  sc_upgrade=sc_upgrade, model=model))
+        assert sum(a.checked for a in audits) > 0

@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.rmc import (ACQ, ACQ_REL, NA, REL, RLX, SC, Alloc, Cas, Faa,
-                       Fence, FixedDecider, GhostCommit, Load, Program,
-                       RandomDecider, RoundRobinDecider, SteppingError,
-                       Store, Xchg, explore_all, run)
+from repro.rmc import (ACQ, ACQ_REL, EMPTY_VIEW, NA, REL, RLX, SC, Alloc,
+                       Cas, Faa, Fence, FixedDecider, GhostCommit, Load,
+                       Location, Message, Program, RandomDecider,
+                       RoundRobinDecider, SteppingError, Store, Xchg,
+                       explore_all, run)
 from repro.rmc.scheduler import PrefixDecider
 
 
@@ -391,3 +392,69 @@ class TestScUpgrade:
         outs = {(r.returns[0], r.returns[1])
                 for r in explore_all(store_buffering(RLX, RLX)) if r.ok}
         assert (0, 0) in outs
+
+
+class TestValueSemantics:
+    """Messages are immutable values; locations are slotted records; the
+    type-keyed step dispatch keeps the old rejections word for word."""
+
+    def msg(self, **over):
+        fields = dict(loc=1, ts=2, val=(3, "e"), view=EMPTY_VIEW, writer=0,
+                      wclock=4, is_na=False)
+        fields.update(over)
+        return Message(**fields)
+
+    @pytest.mark.parametrize("field", Message._fields)
+    def test_message_fields_are_read_only(self, field):
+        with pytest.raises(AttributeError):
+            setattr(self.msg(), field, 9)
+
+    def test_equal_messages_compare_and_hash_equal(self):
+        a, b = self.msg(), self.msg()
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != self.msg(ts=3)
+        assert a != self.msg(view=EMPTY_VIEW.extend(1, 1))
+
+    def test_location_is_slotted(self):
+        cell = Location(7, "x")
+        assert (cell.loc, cell.name, cell.history, cell.next_ts) == \
+            (7, "x", [], 0)
+        assert not cell.has_na_write
+        assert cell.na_read_marks == {} and cell.at_read_marks == {}
+        assert Location(8, "y").history is not cell.history
+        with pytest.raises(AttributeError):
+            cell.typo = 1
+
+    def test_unknown_op_rejected(self):
+        def t(env):
+            yield "not an op"
+        with pytest.raises(SteppingError,
+                           match=r"^unknown operation 'not an op'$"):
+            run_one([t])
+
+    @pytest.mark.parametrize("op_builder,msg", [
+        (lambda env: Load(env["x"], REL), "load cannot be Mode.REL"),
+        (lambda env: Store(env["x"], 1, ACQ),
+         "plain store cannot be Mode.ACQ"),
+        (lambda env: Cas(env["x"], 0, 1, NA), "CAS cannot be Mode.NA"),
+        (lambda env: Faa(env["x"], 1, NA), "FAA cannot be Mode.NA"),
+        (lambda env: Xchg(env["x"], 1, NA), "XCHG cannot be Mode.NA"),
+        (lambda env: Fence(RLX), "fence cannot be Mode.RLX"),
+    ])
+    def test_illegal_mode_messages(self, op_builder, msg):
+        def t(env):
+            yield op_builder(env)
+        with pytest.raises(SteppingError) as err:
+            run_one([t])
+        assert str(err.value) == msg
+
+    def test_op_subclass_dispatches_as_its_base(self):
+        class TaggedStore(Store):
+            pass
+
+        def t(env):
+            yield TaggedStore(env["x"], 5, RLX)
+            return (yield Load(env["x"], RLX))
+        assert run_one([t]).returns[0] == 5
