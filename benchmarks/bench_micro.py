@@ -285,7 +285,7 @@ class TestEngineScaling:
         node *processes* on localhost.  The merged counts must equal the
         serial run exactly — the throughput row then shows what the
         lease/TCP round-trips cost (and recover, with a second core)
-        relative to the in-process pool.  On fewer cores than nodes the
+        relative to the serial run.  On fewer cores than nodes the
         row cannot show scaling and is recorded with
         ``asserts_scaling: false``.
         """
@@ -313,8 +313,7 @@ class TestEngineScaling:
         for nodes in (1, 2):
             coord = Coordinator(
                 EngineParams(target_shards=8, **base), spec,
-                DistParams(lease_seconds=30.0, node_wait_seconds=30.0,
-                           tick=0.05))
+                DistParams(lease_seconds=30.0, node_wait_seconds=30.0))
             box = {}
             serve = threading.Thread(
                 target=lambda c=coord, b=box: b.update(result=c.serve()),
@@ -410,9 +409,9 @@ class TestEngineScaling:
 
         The same exhaustive scenario runs clean and with a
         crash-on-first-attempt fault plan; the recovery machinery
-        (heartbeat attribution, pool rebuild, single-shard requeue) shows
-        up as the wall-clock delta, while the merged counts must be
-        unaffected.
+        (EOF on the node's socket, single-lease requeue, replacement
+        fork) shows up as the wall-clock delta, while the merged counts
+        must be unaffected.
         """
         from repro.engine import (EngineParams, Fault, FaultPlan,
                                   ScenarioSpec, build_scenario,

@@ -31,7 +31,8 @@ the parallel-engine flag group:
     --corpus PATH     persist every failing trace as a replayable
                       JSONL corpus entry
     --corpus-cap N    cap on persisted corpus entries per run
-    --shard-timeout S hung-worker watchdog window
+    --shard-timeout S worker lease: seconds without a heartbeat before
+                      a worker node is killed and replaced
     --max-retries N   per-shard retry budget (with jittered exponential
                       backoff between attempts)
     --shard-seconds / --run-seconds / --max-rss-mb
@@ -615,8 +616,9 @@ def main(argv=None) -> int:
                         help="replay: only this corpus entry index")
     engine.add_argument("--shard-timeout", type=float, default=None,
                         metavar="SECONDS",
-                        help="hung-worker watchdog window (<= 0 to wait "
-                             "forever; default 300)")
+                        help="worker lease: seconds without a heartbeat "
+                             "before a worker node is killed and replaced "
+                             "(<= 0 to wait forever; default 300)")
     engine.add_argument("--shard-seconds", type=float, default=None,
                         metavar="SECONDS",
                         help="wall-clock budget per shard; on breach the "

@@ -309,8 +309,8 @@ def check_scenario(
     With ``workers > 1`` (or any of ``checkpoint``/``corpus``/
     ``progress``/the budgets) the exploration is delegated to the
     parallel engine (`repro.engine`): the decision tree (exhaustive
-    mode) or seed range (randomized mode) is sharded across a process
-    pool and the per-shard partial reports are merged back —
+    mode) or seed range (randomized mode) is sharded across forked
+    worker nodes and the per-shard partial reports are merged back —
     byte-for-byte equal to the serial run, modulo ``seconds``.  ``spec``
     optionally names the scenario in the engine's builder registry so
     corpus entries stay replayable across processes; in exhaustive
@@ -320,9 +320,10 @@ def check_scenario(
     ``shard_seconds``/``run_seconds``/``max_rss_mb`` are graceful
     degradation budgets (see ``docs/robustness.md``): on breach the run
     returns a partial report flagged ``budget_exhausted`` with coverage
-    accounting instead of dying.  ``shard_timeout`` is the hung-worker
-    watchdog window (pass None for wait-forever; the default sentinel
-    keeps the engine's default).
+    accounting instead of dying.  ``shard_timeout`` is a worker node's
+    lease: seconds without a heartbeat before it is declared hung
+    (pass None for wait-forever; the default sentinel keeps the
+    engine's default).
 
     ``dpor`` controls sleep-set partial-order reduction
     (`repro.rmc.dpor`): on by default in exhaustive mode, ignored in

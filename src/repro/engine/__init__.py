@@ -1,20 +1,23 @@
 """`repro.engine` — the parallel exploration engine.
 
-Scales the stateless replay explorers (`repro.rmc.explore`) across a
-process pool, with checkpoint/resume and a persistent counterexample
-corpus.  The decision-tree prefix *is* a resumable work item: disjoint
-prefixes are disjoint subtrees whose union is exactly the serial
-enumeration, so sharded runs merge to byte-for-byte the serial report.
+Scales the stateless replay explorers (`repro.rmc.explore`) across
+worker processes, with checkpoint/resume and a persistent
+counterexample corpus.  The decision-tree prefix *is* a resumable work
+item: disjoint prefixes are disjoint subtrees whose union is exactly
+the serial enumeration, so sharded runs merge to byte-for-byte the
+serial report.
 
 * shard (`repro.engine.shard`): prefix/seed-range work items;
-* pool (`repro.engine.pool`): the driver — fan out, watch, retry, merge;
+* pool (`repro.engine.pool`): the entry point — plan, resume, explore
+  inline or on forked local worker nodes, merge;
+* dist (`repro.engine.dist`): the one scheduler behind every
+  multi-worker run — leases, in-band heartbeats, retries, hedging and
+  audit, for local and remote worker nodes alike;
 * merge (`repro.engine.merge`): shard-ordered report merging + JSON;
 * durable (`repro.engine.durable`): CRC-framed JSONL with tolerant,
   quarantine-on-corruption loading;
 * checkpoint (`repro.engine.checkpoint`): JSONL completed-shard log;
 * corpus (`repro.engine.corpus`): replayable failing traces;
-* health (`repro.engine.health`): worker heartbeats + hung-worker
-  watchdog;
 * budget (`repro.engine.budget`): wall-clock/RSS budgets and coverage
   accounting for graceful degradation;
 * faults (`repro.engine.faults`): deterministic fault injection —
@@ -46,8 +49,6 @@ from .corpus import (CORPUS_CAP, CorpusEntry, CorpusSink, ModelMismatch,
 from .durable import LineDiagnostics, append_line, read_records
 from .faults import (CRASH_EXIT_CODE, FAULT_PLAN_ENV, Fault, FaultInjected,
                      FaultPlan, fault_point)
-from .health import (Heartbeat, HeartbeatMonitor, HeartbeatWriter,
-                     kill_worker, pid_alive)
 from .merge import (merge_reports, report_from_json, report_to_json,
                     stats_from_json, stats_to_json, tally_from_json,
                     tally_to_json, trace_from_json)
@@ -81,8 +82,6 @@ __all__ = [
     "LineDiagnostics", "append_line", "read_records",
     "Fault", "FaultPlan", "FaultInjected", "fault_point",
     "FAULT_PLAN_ENV", "CRASH_EXIT_CODE",
-    "Heartbeat", "HeartbeatWriter", "HeartbeatMonitor", "kill_worker",
-    "pid_alive",
     "BudgetSpec", "BudgetTracker", "Coverage", "rss_mb",
     "ScenarioSpec", "register_scenario", "build_scenario",
     "registered_builders",

@@ -17,8 +17,8 @@ byte-identical report.  The audit layer exploits that:
   the same interpreter that defines the serial baseline — and compares
   fingerprints.  A mismatch is definitive: the origin worker lied.
   The driver then emits a structured :class:`DivergenceFinding`,
-  quarantines the origin (pool: recycle every worker; dist: refuse the
-  node further grants), substitutes the trusted re-execution into the
+  quarantines the origin (the node gets no further grants; a local
+  node is killed and replaced), substitutes the trusted re-execution into the
   merge, and charges the event in `repro.engine.budget.Coverage` as
   degraded-not-exhausted;
 * :func:`bisect_divergence` — structural descent through the two report
@@ -265,7 +265,7 @@ def replay_divergence(entry: CorpusEntry,
 
 @dataclass
 class AuditLog:
-    """Driver-side audit bookkeeping shared by pool and dist loops."""
+    """Coordinator-side audit bookkeeping."""
 
     sampler: AuditSampler
     audits_done: int = 0

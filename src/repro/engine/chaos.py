@@ -18,10 +18,12 @@ the quarantined line and heals the corpus idempotently.
 
 The matrix is intentionally small and deterministic — it is a smoke
 test run in CI on every push (see ``.github/workflows/ci.yml``), not a
-fuzzer.  Faults that take the driver process itself down (crash/hang)
-are only scheduled for pool cells (``workers >= 2``): inline execution
-shares the driver's process, where "kill the worker" would mean "kill
-the test".
+fuzzer.  Faults that take the worker process itself down (crash/hang)
+are only scheduled for cells with worker nodes (``workers >= 2``):
+inline execution shares the caller's process, where "kill the worker"
+would mean "kill the test".  Those rows assert the telemetry counter of
+the path they target (``retries`` for a crash, ``hung_killed`` for a
+hang), so a fault that never fires cannot pass.
 
 A second, **distributed** section (`build_dist_cases`) runs the same
 workload through the coordinator/node transport (`repro.engine.dist`)
@@ -261,7 +263,7 @@ def build_cases(max_workers: int = 2) -> List[ChaosCase]:
         for w in counts:
             tag = f"{mode}/w{w}"
             # Transient exception on shard 1's first attempt: the retry
-            # path, exercised inline and pooled alike.
+            # path, exercised inline and on worker nodes alike.
             cases.append(ChaosCase(
                 name=f"{tag}/raise",
                 plan=FaultPlan((Fault("worker.explore", "raise",
@@ -287,16 +289,21 @@ def build_cases(max_workers: int = 2) -> List[ChaosCase]:
                 durable=True, resume=True))
             if w < 2:
                 continue  # crash/hang/corrupt would take the driver down
+            # A node dying hard mid-shard: its EOF requeues its lease.
             cases.append(ChaosCase(
                 name=f"{tag}/crash",
                 plan=FaultPlan((Fault("worker.explore", "crash",
                                       shard=1, attempt=1),)),
-                workers=w, exhaustive=exhaustive))
+                workers=w, exhaustive=exhaustive,
+                want_counter="retries"))
+            # A node hung mid-shard: its lease expires, and the
+            # coordinator kills and replaces it.
             cases.append(ChaosCase(
                 name=f"{tag}/hang",
                 plan=FaultPlan((Fault("worker.explore", "hang",
                                       shard=1, attempt=1),)),
-                workers=w, exhaustive=exhaustive))
+                workers=w, exhaustive=exhaustive,
+                want_counter="hung_killed"))
             cases.append(ChaosCase(
                 name=f"{tag}/corrupt-result",
                 plan=FaultPlan((Fault("worker.result", "corrupt",
@@ -315,7 +322,7 @@ def build_cases(max_workers: int = 2) -> List[ChaosCase]:
                 durable=True, resume=True))
     if max_workers >= 2:
         # A worker pinned 2.5 s inside shard 1 — slow, not hung: the
-        # delay site keeps heartbeating, so the watchdog stays quiet
+        # delay site keeps heartbeating, so its lease stays renewed
         # and only hedging can rescue the shard.  The adaptive deadline
         # must fire, the speculative duplicate must win, and the merge
         # must still be byte-for-byte serial.
@@ -452,8 +459,7 @@ def run_dist_case(case: DistChaosCase,
         with case.plan:
             coord = Coordinator(params, CHAOS_SPEC,
                                 DistParams(lease_seconds=DIST_LEASE_SECONDS,
-                                           node_wait_seconds=DIST_NODE_WAIT,
-                                           tick=0.05))
+                                           node_wait_seconds=DIST_NODE_WAIT))
             serve = threading.Thread(
                 target=lambda: box.update(result=coord.serve()),
                 daemon=True)

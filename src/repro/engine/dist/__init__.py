@@ -1,10 +1,10 @@
-"""`repro.engine.dist` — fault-tolerant distributed exploration.
+"""`repro.engine.dist` — the engine's one scheduler, local or distributed.
 
-Takes the sharded exploration engine beyond one machine: a
-**coordinator** plans shards exactly as the local pool does and hands
-them to connected **worker nodes** as *leases* over a line-oriented
-JSONL TCP protocol.  Every piece reuses an engine invariant that already
-exists:
+A **coordinator** plans shards and hands them to **worker nodes** as
+*leases* over a line-oriented JSONL protocol.  A local multi-worker
+run (`repro.engine.pool.run_scenario`) forks its nodes on socketpairs;
+``serve`` accepts nodes on other machines over TCP.  Every piece reuses
+an engine invariant that already exists:
 
 * the wire format is the durable-log line discipline
   (`repro.engine.durable`): versioned, CRC-framed JSONL — a torn or
@@ -13,13 +13,12 @@ exists:
 * shards are handed out as leases with **monotonic fencing tokens**
   (`repro.engine.dist.lease`): a node that vanishes and resurrects can
   only submit a stale token, which is rejected, never double-counted;
-* node liveness federates through the same heartbeat idea as the local
-  pool, carried in-band: beats renew exactly the lease they name, so a
-  grant the node never saw expires honestly
-  (`repro.engine.dist.coordinator`);
-* a worker node is a thin loop around the pool's single-shard
-  exploration path, reconnecting with jittered exponential backoff
-  (`repro.engine.dist.node`);
+* node liveness is the lease table alone: in-band beats renew exactly
+  the lease they name, so a grant the node never saw — or a node that
+  hung — expires honestly (`repro.engine.dist.coordinator`);
+* a worker node is a thin loop around the engine's single-shard
+  exploration path; a remote one reconnects with jittered exponential
+  backoff (`repro.engine.dist.node`);
 * the merge is `repro.engine.pool.finalize_run` — shard-ordered, with
   honest `Coverage` when nodes never return — so a 2-node run with one
   node SIGKILLed mid-shard still merges byte-for-byte to the serial

@@ -1,52 +1,68 @@
-"""The distributed driver: plan shards, lease them out, merge honestly.
+"""The coordinator: lease shards to worker nodes, merge honestly.
 
-The coordinator is the local pool driver (`repro.engine.pool`) with the
-process pool swapped for a lease table over TCP.  Everything
-result-determining is unchanged: shards come from `plan_shards_ex`,
-resumed shards come from the same fingerprinted checkpoint, and the
-merge is literally `finalize_run` — which is why a distributed run is
-byte-for-byte the serial report, and why a degraded run (nodes lost,
-retry budgets spent) reports truncated `Coverage` instead of lying.
+This is the one scheduler behind every multi-worker run.
+`repro.engine.pool.run_scenario` forks local worker nodes on
+socketpairs and hands their ends in as already-connected channels;
+``python -m repro serve`` and the campaign service accept remote nodes
+over TCP instead.  Everything result-determining is shared: the run is
+set up by `repro.engine.pool.start_run` (plan, fingerprint, checkpoint
+resume) and merged by `repro.engine.pool.RunState.finalize` — which is
+why a sharded run is byte-for-byte the serial report, and why a
+degraded run (nodes lost, retry budgets spent) reports truncated
+`Coverage` instead of lying.
 
-Liveness federates through the protocol's in-band heartbeats: a node
-beat names the ``(shard_id, token)`` it is working under, and renews
-exactly that lease (`LeaseTable.renew`).  A node that dies mid-shard
-stops beating, its lease expires on the next tick, and the shard is
-requeued to another node with the dead one excluded.  A node that was
-merely paused and submits after expiry presents a fenced-off token and
-is counted once — as `results_fenced`, not as coverage.
+Liveness is the lease table (`repro.engine.dist.lease`) and nothing
+else.  A node's in-band beat names the ``(shard_id, token)`` it is
+working under and renews exactly that lease.
 
-Failure handling is three nested safety nets:
+* A node that dies closes its connection: the EOF requeues only that
+  node's own lease, at once.
+* A node that hangs stops beating: its lease expires at its deadline
+  and the shard is requeued to another node with the hung one
+  excluded.  A hung *local* node is also SIGKILLed, reaped and replaced
+  by a fresh fork.
+* A node that was merely paused and submits after expiry presents a
+  fenced-off token and is counted once — as `results_fenced`, not as
+  coverage.
+* A shard that keeps failing spends its retry budget and is marked
+  FAILED: a served run degrades coverage, a local run raises
+  `repro.engine.pool.ShardFailed`.
 
-1. connection loss -> `release_node` requeues the node's leases now;
-2. silent hang -> the lease deadline expires without renewal;
-3. repeated failure -> the per-shard retry budget marks the shard
-   FAILED, and `finalize_run` degrades coverage instead of raising.
+The serve loop sleeps until something can change the outcome: a
+result, a failure, a node joining or lost, a new lease, or the next
+lease or run deadline.
 """
 
 from __future__ import annotations
 
+import math
 import socket
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ...checking.runner import ScenarioReport
+from .. import pool as engine_pool
 from ..audit import (AuditLog, AuditSampler, audit_shard, divergence_witness,
                      report_fingerprint)
-from ..checkpoint import CheckpointWriter, load_completed_ex, run_fingerprint
 from ..corpus import CorpusEntry
 from ..hedge import HEDGE_ATTEMPT_BASE, DeadlineEstimator
-from ..pool import (EngineParams, EngineResult, ResultCorrupt, _decode_result,
-                    finalize_run, plan_shards_ex)
+from ..pool import (RUN_BUDGET_SPENT, EngineParams, EngineResult,
+                    ResultCorrupt, RunState, ShardFailed, start_run)
 from ..registry import ScenarioSpec, build_scenario
-from ..telemetry import ProgressReporter
 from .handshake import handshake_mismatch
-from .lease import ACCEPTED, LeaseTable
+from .lease import ACCEPTED, FAILED, Lease, LeaseTable
+from .node import LocalNodes
 from .protocol import (MSG_BEAT, MSG_DONE, MSG_FAIL, MSG_GRANT, MSG_HELLO,
                        MSG_IDLE, MSG_REFUSE, MSG_RESULT, MSG_WANT,
                        MSG_WELCOME, PROTOCOL_VERSION, Channel)
+
+#: Seconds a fresh connection may take to say ``hello`` (a spawned
+#: local node imports the engine first).
+HELLO_TIMEOUT = 30.0
+#: Seconds local nodes told ``done`` get to exit before being killed.
+LOCAL_EXIT_GRACE = 1.0
 
 
 @dataclass
@@ -59,36 +75,57 @@ class DistParams:
     #: How long to keep waiting with zero connected nodes before
     #: degrading to a truncated-coverage result.
     node_wait_seconds: float = 30.0
-    tick: float = 0.2
     idle_wait: float = 0.25
 
 
 class Coordinator:
-    """Serve one scenario's shards to remote nodes and merge the run."""
+    """Serve one scenario's shards to worker nodes and merge the run.
 
-    def __init__(self, params: EngineParams, spec: ScenarioSpec,
+    Remote runs pass a registry ``spec`` and accept nodes on a TCP
+    listener.  Local runs (`repro.engine.pool.run_scenario`) pass the
+    already-started ``run``, the `LocalNodes` that forked the nodes,
+    and the coordinator's ends of their socketpairs as ``channels``.
+    """
+
+    def __init__(self, params: EngineParams, spec: Optional[ScenarioSpec],
                  dist: Optional[DistParams] = None,
                  listener: Optional[socket.socket] = None,
                  on_event: Optional[Callable[..., None]] = None,
-                 token_floor: int = 0):
-        if spec is None:
+                 token_floor: int = 0, run: Optional[RunState] = None,
+                 local: Optional[LocalNodes] = None,
+                 channels: Sequence[Channel] = ()):
+        if spec is None and local is None:
             raise ValueError("distributed runs need a registry spec: "
                              "nodes rebuild the scenario from its "
                              "to_json() form")
         self.params = params
         self.spec = spec
         self.dist = dist or DistParams()
-        self.scenario = build_scenario(spec)
-        self.shards, self.planner_pruned = plan_shards_ex(self.scenario,
-                                                          params)
-        self._fingerprint = run_fingerprint(self.scenario.name, spec,
-                                            params.fingerprint_json(),
-                                            self.shards)
+        if run is None:
+            scenario = build_scenario(spec)
+            run = start_run(scenario, spec, params,
+                            label=f"dist:{scenario.name}")
+        self.run = run
+        self.scenario = run.scenario
+        self.shards = run.shards
+        self.results = run.results
+        self.reporter = reporter = run.reporter
+
+        def on_requeue(lease: Lease, reason: str) -> None:
+            # Every spent attempt — a failure, a corrupt result, an
+            # expired lease, a lost node — is one retry.  A closure over
+            # the reporter, not a bound method: the table must not keep
+            # the coordinator alive in a reference cycle.
+            reporter.on_retry(lease.shard_id, lease.attempt, reason)
+
         self.table = LeaseTable(len(self.shards),
                                 max_retries=params.max_retries,
                                 lease_seconds=self.dist.lease_seconds,
                                 backoff_base=params.retry_backoff,
-                                token_floor=token_floor)
+                                token_floor=token_floor,
+                                on_requeue=on_requeue)
+        for sid in self.results:
+            self.table.mark_done(sid)
         # Observability hook for the campaign service: called as
         # ``on_event(kind, **fields)`` with kinds "grant" (a fresh lease
         # is about to go on the wire), "merge" (a result was accepted
@@ -119,103 +156,163 @@ class Coordinator:
         self._quarantined: set = set()
         self._draining = threading.Event()
         self._cancelled = threading.Event()
-        self.results: Dict[int, Tuple[ScenarioReport,
-                                      List[CorpusEntry]]] = {}
-        self._markers: set = set()
-        quarantined = 0
-        if params.checkpoint_path:
-            done, self._markers, diag = load_completed_ex(
-                params.checkpoint_path, self._fingerprint)
-            quarantined = diag.corrupt
-            for sid, (report, entries) in done.items():
-                if 0 <= sid < len(self.shards):
-                    self.results[sid] = (report, entries)
-                    self.table.mark_done(sid)
-        self.reporter = ProgressReporter(
-            total_shards=len(self.shards), enabled=params.progress,
-            label=f"dist:{self.scenario.name}")
-        self.reporter.on_quarantined(quarantined)
-        self.reporter.on_planner_pruned(self.planner_pruned)
-        for report, _entries in self.results.values():
-            self.reporter.on_resumed(report.executions, report.steps,
-                                     report.pruned_subtrees)
-        self._writer = (CheckpointWriter(params.checkpoint_path,
-                                         self._fingerprint)
-                        if params.checkpoint_path else None)
         self._lock = threading.Lock()
         self._nodes: Dict[str, Channel] = {}
         self._stop = threading.Event()
+        # Set after every state change the serve loop must react to.
+        self._wake = threading.Event()
+        # The first unexpected error of a connection thread (a failed
+        # checkpoint write, say): `serve` stops and re-raises it rather
+        # than wait on a lease nobody will settle.
+        self._error: Optional[BaseException] = None
         self._threads: List[threading.Thread] = []
+        self._local = local
+        self._channels = list(channels)
+        # Local nodes lost mid-lease, awaiting reaping and replacement.
+        self._lost_local: List[str] = []
+        self._listener = listener
         # The campaign daemon keeps one node port alive across many
         # runs: it injects its own bound listener, which the run must
         # borrow (stop accepting on shutdown) but never close.
-        self._owns_listener = listener is None
-        if listener is None:
-            listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            listener.bind((self.dist.host, self.dist.port))
-            listener.listen()
-        self._listener = listener
-        self.host, self.port = self._listener.getsockname()[:2]
+        self._owns_listener = listener is None and local is None
+        if self._owns_listener:
+            self._listener = socket.socket(socket.AF_INET,
+                                           socket.SOCK_STREAM)
+            self._listener.setsockopt(socket.SOL_SOCKET,
+                                      socket.SO_REUSEADDR, 1)
+            self._listener.bind((self.dist.host, self.dist.port))
+            self._listener.listen()
+        self.host, self.port = (self._listener.getsockname()[:2]
+                                if self._listener is not None
+                                else (None, None))
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
 
     def serve(self) -> EngineResult:
-        """Accept nodes, lease shards until settled, merge, return."""
-        deadline = (time.time() + self.params.run_seconds
-                    if self.params.run_seconds is not None else None)
-        self._acceptor = threading.Thread(target=self._accept_loop,
-                                          name="dist-accept", daemon=True)
-        self._acceptor.start()
+        """Serve nodes, lease shards until settled, merge, return."""
+        for ch in self._channels:
+            self._start_conn(ch)
+        self._channels = []
+        if self._listener is not None:
+            self._acceptor = threading.Thread(target=self._accept_loop,
+                                              name="dist-accept",
+                                              daemon=True)
+            self._acceptor.start()
         last_node_seen = time.time()
         try:
             while True:
-                time.sleep(self.dist.tick)
+                self._wake.clear()
                 # Audits run on the serve thread, outside the lock: a
                 # re-execution must never stall heartbeat renewals.
                 self._run_audits()
-                if self._cancelled.is_set():
+                if self._cancelled.is_set() or self._error is not None:
                     break
                 now = time.time()
                 with self._lock:
-                    for lease in self.table.expire(now):
-                        self.reporter.on_lease_expired(lease.shard_id,
-                                                       lease.node_id)
-                    if self.table.settled and not self._audit_queue:
+                    hung = self._expire(now)
+                    if self._finished(now):
                         break
-                    if self._draining.is_set() \
-                            and not self.table.leases \
-                            and not self._audit_queue:
-                        break  # drained: in-flight work is all home
                     have_nodes = bool(self._nodes)
+                    timeout = self._next_deadline(now)
+                self._replace_local(hung, now)
                 if have_nodes:
                     last_node_seen = now
-                elif now - last_node_seen >= self.dist.node_wait_seconds:
-                    break  # degrade: merge what came back
-                if deadline is not None and now >= deadline:
-                    break
+                else:
+                    idle = now - last_node_seen
+                    if idle >= self.dist.node_wait_seconds:
+                        break  # degrade: merge what came back
+                    left = self.dist.node_wait_seconds - idle
+                    timeout = left if timeout is None \
+                        else min(timeout, left)
+                self._wake.wait(timeout)
         finally:
             self._shutdown()
-        # Results accepted on the loop's final tick may still be queued
+        if self._error is not None:
+            raise self._error
+        # Results accepted on the loop's final pass may still be queued
         # for audit: screen them before the merge is finalized.
         self._run_audits()
         with self._lock:
+            out_of_time = self.run.out_of_time()
             for sid in range(len(self.shards)):
                 if sid in self.results:
                     continue
-                reason = self.table.failure_reason(sid) \
-                    or "no live node returned this shard"
+                if self.table.status(sid) == FAILED:
+                    reason = self.table.failure_reason(sid)
+                elif out_of_time:
+                    reason = RUN_BUDGET_SPENT
+                else:
+                    reason = "no live node returned this shard"
+                if self._local is not None and reason != RUN_BUDGET_SPENT:
+                    raise ShardFailed(
+                        f"shard {sid} ({self.shards[sid]}) failed "
+                        f"{self.table.attempts(sid)} times: {reason}")
                 self.reporter.on_skipped(sid, reason)
             self._on_event("settled", settled=self.table.settled,
                            drained=self._draining.is_set(),
                            cancelled=self._cancelled.is_set())
-            return finalize_run(self.scenario.name, self.params,
-                                self.shards, self.planner_pruned,
-                                self.results, self._markers,
-                                self.reporter, self._writer,
-                                audit_log=self._audit_log)
+            return self.run.finalize(self._audit_log)
+
+    def _expire(self, now: float) -> List[Lease]:
+        """Requeue expired leases; return those held by local nodes,
+        which are hung and must be killed.  Caller holds the lock."""
+        hung = []
+        for lease in self.table.expire(now):
+            self.reporter.on_lease_expired(lease.shard_id, lease.node_id)
+            if self._local is not None and lease.node_id in self._local:
+                hung.append(lease)
+        return hung
+
+    def _finished(self, now: float) -> bool:
+        """Nothing left to wait for.  Caller holds the lock."""
+        if self._audit_queue:
+            return False
+        if self.table.settled:
+            return True
+        if self._local is not None and self.table.failed_ids:
+            return True  # a local run raises ShardFailed: stop early
+        stopping = self._draining.is_set() or self.run.out_of_time(now)
+        # Past the run deadline no lease is granted; in-flight ones stop
+        # themselves at the same deadline and come home partial.
+        return stopping and not self.table.leases
+
+    def _next_deadline(self, now: float) -> Optional[float]:
+        """Seconds until the next lease or run deadline (None = none).
+        Caller holds the lock."""
+        times = [lease.deadline for lease in self.table.leases]
+        if self.run.deadline is not None and now < self.run.deadline:
+            times.append(self.run.deadline)
+        times = [t for t in times if math.isfinite(t)]
+        return max(min(times) - now, 0.0) if times else None
+
+    def _replace_local(self, hung: List[Lease], now: float) -> None:
+        """Kill hung local nodes, reap lost ones, fork replacements."""
+        if self._local is None:
+            return
+        for lease in hung:
+            pid = self._local.kill(lease.node_id)
+            with self._lock:
+                self.reporter.on_hung_worker(
+                    pid, lease.shard_id,
+                    now - lease.deadline + self.dist.lease_seconds)
+            self._spawn_local()
+        with self._lock:
+            lost, self._lost_local = self._lost_local, []
+        for node_id in lost:
+            self._local.kill(node_id)
+            self._spawn_local()
+
+    def _spawn_local(self) -> None:
+        # Forked under the lock: no other thread is then mid-way through
+        # a reporter line or a table update, and the child never takes
+        # the lock it inherits.
+        with self._lock:
+            if self._stop.is_set() or self.table.settled:
+                return
+            ch = self._local.spawn()
+        self._start_conn(ch)
 
     def drain(self) -> None:
         """Stop granting new leases; `serve` returns once every
@@ -223,6 +320,7 @@ class Coordinator:
         if not self._draining.is_set():
             self._draining.set()
             self.reporter.on_drain()
+        self._wake.set()
 
     @property
     def draining(self) -> bool:
@@ -231,6 +329,7 @@ class Coordinator:
     def cancel(self) -> None:
         """Stop now: abandon in-flight leases and merge what came back."""
         self._cancelled.set()
+        self._wake.set()
 
     def _shutdown(self) -> None:
         self._stop.set()
@@ -246,6 +345,8 @@ class Coordinator:
                 ch.send(MSG_DONE)
             except ConnectionError:
                 pass
+        if self._local is not None:
+            self._local.close(LOCAL_EXIT_GRACE)
         for thread in self._threads:
             thread.join(timeout=2.0)
         # A borrowed listener outlives this run: the next run must not
@@ -268,16 +369,18 @@ class Coordinator:
             except OSError:
                 return
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            thread = threading.Thread(target=self._serve_conn,
-                                      args=(Channel(conn),),
-                                      name="dist-conn", daemon=True)
-            self._threads.append(thread)
-            thread.start()
+            self._start_conn(Channel(conn))
+
+    def _start_conn(self, ch: Channel) -> None:
+        thread = threading.Thread(target=self._serve_conn, args=(ch,),
+                                  name="dist-conn", daemon=True)
+        self._threads.append(thread)
+        thread.start()
 
     def _serve_conn(self, ch: Channel) -> None:
         node_id = None
         try:
-            hello = ch.recv(timeout=5.0)
+            hello = ch.recv(timeout=HELLO_TIMEOUT)
             if (hello is None or hello.get("t") != MSG_HELLO
                     or hello.get("proto") != PROTOCOL_VERSION):
                 return
@@ -295,7 +398,9 @@ class Coordinator:
             with self._lock:
                 self._nodes[node_id] = ch
                 self.reporter.on_node_joined(node_id)
-            ch.send(MSG_WELCOME, spec=self.spec.to_json(),
+                self._wake.set()
+            ch.send(MSG_WELCOME,
+                    spec=self.spec.to_json() if self.spec else None,
                     params=self.params.wire_json(),
                     lease=self.dist.lease_seconds,
                     heartbeat=self.params.heartbeat_interval)
@@ -306,32 +411,40 @@ class Coordinator:
                 self._dispatch(ch, node_id, msg)
         except ConnectionError:
             pass
+        except Exception as err:  # noqa: BLE001 — handed to `serve`
+            if self._error is None:
+                self._error = err
+            self._wake.set()
         finally:
             if node_id is not None:
                 with self._lock:
                     # Only the node's *current* channel may release its
                     # leases: a node that reconnected under the same id
                     # (sever fault, TCP reset) must not have its fresh
-                    # lease requeued by the dying old connection.
+                    # lease requeued by the dying old connection.  A
+                    # node leaving after shutdown began was *told* to go
+                    # (`done`): that is a graceful exit, not a loss.
                     if self._nodes.get(node_id) is ch:
                         del self._nodes[node_id]
-                        lost = self.table.release_node(node_id,
-                                                       time.time())
-                        # Shadow grants the dead node held are retired
-                        # so a later straggler can be hedged afresh.
-                        for sid, (_tok, nid) in list(self._shadow.items()):
-                            if nid == node_id:
-                                del self._shadow[sid]
-                        # A node leaving after the table settled was
-                        # *told* to go (`done` reply): that is a
-                        # graceful exit, not a lost node — only count
-                        # losses mid-run.
-                        if not self._stop.is_set() \
-                                and not self.table.settled:
-                            self.reporter.on_node_lost(
-                                node_id, f"connection lost "
-                                         f"({len(lost)} leases requeued)")
+                        if not self._stop.is_set():
+                            self._release(node_id)
             ch.close()
+
+    def _release(self, node_id: str) -> None:
+        """A node's connection is gone mid-run: requeue its leases.
+        Caller holds the lock."""
+        lost = self.table.release_node(node_id, time.time())
+        # Shadow grants the dead node held are retired so a later
+        # straggler can be hedged afresh.
+        for sid, (_tok, nid) in list(self._shadow.items()):
+            if nid == node_id:
+                del self._shadow[sid]
+        if not self.table.settled:
+            self.reporter.on_node_lost(
+                node_id, f"connection lost ({len(lost)} leases requeued)")
+        if lost and self._local is not None and node_id in self._local:
+            self._lost_local.append(node_id)
+        self._wake.set()
 
     def _dispatch(self, ch: Channel, node_id: str, msg: Dict) -> None:
         mtype = msg.get("t")
@@ -344,16 +457,20 @@ class Coordinator:
                                      msg["token"], time.time())
         elif mtype == MSG_RESULT:
             self._on_result(node_id, msg)
+            self._wake.set()
         elif mtype == MSG_FAIL:
             self._on_fail(node_id, msg)
+            self._wake.set()
 
     def _on_want(self, ch: Channel, node_id: str) -> None:
         shadow = None
         with self._lock:
-            if self._draining.is_set() or self._cancelled.is_set():
-                # Draining: no fresh grants, only in-flight leases may
-                # finish.  IDLE (not DONE) so the node stays attached
-                # until `_shutdown` dismisses everyone together.
+            if self._draining.is_set() or self._cancelled.is_set() \
+                    or self.run.out_of_time():
+                # Draining, or the run budget is spent: no fresh grants,
+                # only in-flight leases may finish.  IDLE (not DONE) so
+                # the node stays attached until `_shutdown` dismisses
+                # everyone together.
                 ch.send(MSG_IDLE, wait=self.dist.idle_wait)
                 return
             if node_id in self._quarantined:
@@ -380,24 +497,30 @@ class Coordinator:
                                token=lease.token, attempt=lease.attempt,
                                node=node_id)
                 self._lease_started[(lease.shard_id, lease.token)] = now
+                self._wake.set()  # a new lease deadline to watch
             if lease is None and not settled:
                 # An idle node with stragglers in flight is exactly the
                 # spare capacity hedging wants to spend.
                 shadow = self._maybe_shadow(node_id, now)
         if shadow is not None:
-            sid, token, attempt = shadow
-            ch.send(MSG_GRANT, fault_shard=sid, fault_attempt=attempt,
-                    shard_id=sid, shard=self.shards[sid].to_json(),
-                    token=token, attempt=attempt)
+            self._send_grant(ch, *shadow)
             return
         if lease is None:
             ch.send(MSG_DONE if settled else MSG_IDLE,
                     wait=self.dist.idle_wait)
             return
-        ch.send(MSG_GRANT, fault_shard=lease.shard_id,
-                fault_attempt=lease.attempt, shard_id=lease.shard_id,
-                shard=self.shards[lease.shard_id].to_json(),
-                token=lease.token, attempt=lease.attempt)
+        self._send_grant(ch, lease.shard_id, lease.token, lease.attempt)
+
+    def _send_grant(self, ch: Channel, sid: int, token: int,
+                    attempt: int) -> None:
+        # The run budget travels as seconds left, so node clocks need
+        # not agree with ours.
+        deadline = self.run.deadline
+        run_left = (max(deadline - time.time(), 0.0)
+                    if deadline is not None else None)
+        ch.send(MSG_GRANT, fault_shard=sid, fault_attempt=attempt,
+                shard_id=sid, shard=self.shards[sid].to_json(),
+                token=token, attempt=attempt, run_left=run_left)
 
     def _maybe_shadow(self, node_id: str,
                       now: float) -> Optional[Tuple[int, int, int]]:
@@ -437,26 +560,26 @@ class Coordinator:
 
     def _on_result(self, node_id: str, msg: Dict) -> None:
         sid, token = msg["shard_id"], msg["token"]
-        # Decode *before* settling the lease: a corrupt blob must spend
-        # a retry, not permanently settle the shard as done.
-        try:
-            report, entries = _decode_result(sid, msg["blob"],
-                                             msg["blob_crc"])
-        except ResultCorrupt:
-            with self._lock:
+        with self._lock:
+            shadow = self._shadow.get(sid)
+            is_shadow = shadow is not None and shadow[0] == token
+            # Decode *before* settling the lease: a corrupt blob must
+            # spend a retry, not permanently settle the shard as done.
+            # Looked up on the module so the benchmark tracer sees it.
+            try:
+                report, entries = engine_pool._decode_result(
+                    sid, msg["blob"], msg["blob_crc"])
+            except ResultCorrupt:
                 self.reporter.on_corrupt_result(sid)
-                shadow = self._shadow.get(sid)
-                if shadow is not None and shadow[0] == token:
+                if is_shadow:
                     # A corrupt duplicate just retires the hedge; the
                     # primary lease is untouched.
                     del self._shadow[sid]
                 else:
                     self.table.fail(sid, token, node_id, time.time(),
                                     "result failed its CRC check")
-            return
-        with self._lock:
-            shadow = self._shadow.get(sid)
-            if shadow is not None and shadow[0] == token:
+                return
+            if is_shadow:
                 del self._shadow[sid]
                 if sid in self.results:
                     # The primary beat its duplicate home; the hedge's
@@ -494,10 +617,8 @@ class Coordinator:
         sid, token = msg["shard_id"], msg["token"]
         error = str(msg.get("error", "unknown error"))
         with self._lock:
-            if self.table.fail(sid, token, node_id, time.time(), error):
-                self.reporter.on_retry(sid, self.table.attempts(sid),
-                                       error)
-            else:
+            if not self.table.fail(sid, token, node_id, time.time(),
+                                   error):
                 self.reporter.on_fenced(sid, node_id)
 
     def _complete(self, sid: int, report: ScenarioReport,
@@ -505,18 +626,10 @@ class Coordinator:
                   token: int = 0, node_id: str = "") -> None:
         self._on_event("merge", shard=sid, token=token,
                        executions=report.executions)
-        self.results[sid] = (report, entries)
         started = self._lease_started.pop((sid, token), None)
         if self._hedger is not None and started is not None:
             self._hedger.observe(time.time() - started)
-        if report.budget_exhausted:
-            # Not checkpointed: a later, better-funded resume should
-            # re-explore a truncated shard rather than trust its stub.
-            self.reporter.on_budget_stop(sid)
-        elif self._writer is not None:
-            self._writer.write_shard(sid, report, entries)
-        self.reporter.on_shard_done(sid, pid, report.executions,
-                                    report.steps, report.pruned_subtrees)
+        self.run.complete(sid, report, entries, pid)
         if self._audit_log is not None \
                 and self._audit_log.sampler.should_audit(sid):
             self._audit_queue.append((sid, report, node_id))
@@ -529,8 +642,9 @@ class Coordinator:
         renewals must keep flowing meanwhile.  A divergence convicts
         the origin node: the trusted result replaces its lie in the
         merge (and in the checkpoint — replay is last-record-wins), the
-        node is quarantined from further grants, and a replayable
-        witness is registered for the corpus.
+        node is quarantined from further grants (a local node is killed
+        and replaced: process identity is not recoverable), and a
+        replayable witness is registered for the corpus.
         """
         if self._audit_log is None:
             return
@@ -544,6 +658,7 @@ class Coordinator:
                 self.scenario, self.spec, self.shards[sid], self.params,
                 sid, report, observed_fp,
                 worker=f"node {node_id or '?'}")
+            convicted = False
             with self._lock:
                 self._audit_log.audits_done += 1
                 self.reporter.on_audit(sid, finding is not None)
@@ -554,14 +669,9 @@ class Coordinator:
                     divergence_witness(finding, self.spec, self.params))
                 self._on_event("divergence", shard=sid, node=node_id,
                                finding=finding.to_json())
-                t_report, t_entries = trusted
-                self.results[sid] = (t_report, t_entries)
-                if self._writer is not None \
-                        and not t_report.budget_exhausted:
-                    # Re-append the trusted record: checkpoint replay is
-                    # last-record-wins, so later resumes are healed too.
-                    self._writer.write_shard(sid, t_report, t_entries)
+                self.run.replace(sid, *trusted)
                 if node_id and node_id not in self._quarantined:
+                    convicted = True
                     self._quarantined.add(node_id)
                     self._audit_log.quarantined.append(node_id)
                     self.reporter.on_worker_quarantined(
@@ -570,6 +680,10 @@ class Coordinator:
                                                          time.time()):
                         self.reporter.on_lease_expired(lease.shard_id,
                                                        node_id)
+            if convicted and self._local is not None \
+                    and node_id in self._local:
+                self._local.kill(node_id)
+                self._spawn_local()
 
 
 def serve_scenario(params: EngineParams, spec: ScenarioSpec,

@@ -10,8 +10,7 @@ gets its shard requeued, and then wakes up and submits, presents a
 fenced-off token and is rejected — the shard is never double-counted,
 no matter how the partition or pause interleaves.
 
-Requeue policy mirrors the local pool's retry budget, plus two
-distribution-specific twists:
+Requeue policy is the engine's retry budget, plus two twists:
 
 * **exclusion** — the node that failed a shard is remembered and not
   offered it again (a deterministic crasher should land on a different
@@ -27,14 +26,19 @@ distribution-specific twists:
 
 A shard whose attempts exceed ``max_retries + 1`` is marked **failed**
 and surfaces as truncated coverage — graceful degradation, not a crash
-(`repro.engine.budget.Coverage`).
+(`repro.engine.budget.Coverage`) — or, for a local run, as
+`repro.engine.pool.ShardFailed`.
+
+Every spent attempt — a reported failure, a corrupt result, an expired
+lease, a lost node — reaches one place, ``_requeue``, which reports it
+through the ``on_requeue`` hook: exactly one retry per spent attempt.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional, Set
 
 from ..retry import jittered_backoff
 
@@ -67,7 +71,9 @@ class LeaseTable:
 
     def __init__(self, n_shards: int, max_retries: int = 2,
                  lease_seconds: float = 10.0, backoff_base: float = 0.1,
-                 backoff_cap: float = 5.0, token_floor: int = 0):
+                 backoff_cap: float = 5.0, token_floor: int = 0,
+                 on_requeue: Optional[Callable[["Lease", str],
+                                               None]] = None):
         self.n_shards = n_shards
         self.max_retries = max_retries
         self.lease_seconds = lease_seconds
@@ -87,6 +93,9 @@ class LeaseTable:
         # node that outlived the crash and submits under a pre-crash
         # lease is fenced STALE instead of colliding with a fresh token.
         self._next_token = token_floor + 1
+        #: Called as ``on_requeue(lease, reason)`` for every spent
+        #: attempt, whether the shard goes back to PENDING or FAILED.
+        self._on_requeue = on_requeue or (lambda lease, reason: None)
 
     # ------------------------------------------------------------------
     # Queries
@@ -250,6 +259,7 @@ class LeaseTable:
         sid = lease.shard_id
         del self._leases[sid]
         self._excluded[sid].add(lease.node_id)
+        self._on_requeue(lease, reason)
         if self._attempts[sid] > self.max_retries:
             self._status[sid] = FAILED
             self._failure[sid] = reason

@@ -1,24 +1,31 @@
-"""The worker node: the pool's single-shard path behind a socket.
+"""The worker node: the engine's single-shard path behind a socket.
 
-A node is deliberately thin — connect, introduce itself, then loop
-``want -> grant -> explore -> result``.  Exploration is literally the
-local pool's `repro.engine.pool._explore_shard`, with two remote-shaped
-differences:
+A node is deliberately thin — introduce itself, then loop
+``want -> grant -> explore -> result``.  Exploration is literally
+`repro.engine.pool._explore_shard`, with the heartbeat duck-type
+(`NetBeat`) streaming beats *upstream* over the channel, each naming
+the ``(shard_id, token)`` lease it renews — so a lease the node never
+learned about is never renewed.  The result blob is CRC'd JSON
+(including the in-flight-corruption fault site ``worker.result``), so
+the coordinator's integrity check is one code path for every node.
 
-* the heartbeat duck-type (`NetBeat`) streams beats *upstream* over the
-  channel instead of to a local file, each naming the
-  ``(shard_id, token)`` lease it renews — that is heartbeat federation,
-  and it means a lease the node never learned about is never renewed;
-* the result blob is the same CRC'd JSON the pool's workers return
-  (including the in-flight-corruption fault site ``worker.result``), so
-  the coordinator's integrity check is one shared code path.
+Nodes come in two shapes that run the same loop (`_serve_grants`):
+
+* a **remote** node (`run_node`, ``python -m repro work``) connects
+  over TCP and reconnects with jittered exponential backoff on any
+  connection error; the coordinator requeues our lease when it
+  notices, and any result we submit from before the drop is fenced off
+  by its stale token;
+* a **local** node (`LocalNodes`) is a child process forked by
+  `repro.engine.pool.run_scenario` on one end of a ``socketpair()``;
+  the coordinator holds the other end.  A forked node uses the
+  inherited `Scenario`, so ad-hoc scenarios without a registry spec
+  work too; under ``spawn`` it rebuilds the scenario from the spec in
+  the welcome.
 
 An exploration error becomes an explicit ``fail`` message (spending a
 retry on the coordinator) rather than a silent drop, so a
-deterministically poisoned shard cannot loop forever.  A connection
-error becomes a reconnect with jittered exponential backoff; the
-coordinator requeues our lease when it notices, and any result we
-submit from before the drop is fenced off by its stale token.
+deterministically poisoned shard cannot loop forever.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ import os
 import socket
 import time
 import zlib
-from typing import Callable, Optional
+from typing import Callable, Dict, Optional
 
 from ..faults import flip_result_digit, mutate_blob
 from ..merge import report_to_json
@@ -72,8 +79,13 @@ def _default_node_id() -> str:
     return f"{socket.gethostname()}:{os.getpid()}"
 
 
-def _serve_grants(ch: Channel, node_id: str, emit: Callable) -> bool:
-    """Work one connection until ``done``; True means run finished."""
+def _serve_grants(ch: Channel, node_id: str, emit: Callable,
+                  scenario=None) -> bool:
+    """Work one connection until ``done``; True means run finished.
+
+    ``scenario`` is a local node's inherited `Scenario`; without one
+    the node builds it from the registry spec in the welcome.
+    """
     ch.send(MSG_HELLO, node=node_id, pid=os.getpid(),
             proto=PROTOCOL_VERSION, fp=engine_fingerprint())
     welcome = ch.recv(timeout=10.0)
@@ -81,10 +93,12 @@ def _serve_grants(ch: Channel, node_id: str, emit: Callable) -> bool:
         raise Refused(str(welcome.get("reason", "incompatible node")))
     if welcome is None or welcome.get("t") != MSG_WELCOME:
         raise ConnectionError("no welcome from coordinator")
-    spec = ScenarioSpec.from_json(welcome["spec"])
+    spec = (ScenarioSpec.from_json(welcome["spec"])
+            if welcome.get("spec") is not None else None)
     params = EngineParams.from_wire(welcome["params"])
     heartbeat = float(welcome.get("heartbeat", 0.25))
-    scenario = build_scenario(spec)
+    if scenario is None:
+        scenario = build_scenario(spec)
     while True:
         ch.send(MSG_WANT, node=node_id)
         # A short reply window on purpose: a grant lost in flight is
@@ -97,7 +111,12 @@ def _serve_grants(ch: Channel, node_id: str, emit: Callable) -> bool:
         if mtype == MSG_DONE:
             return True
         if mtype == MSG_IDLE:
-            time.sleep(float(msg.get("wait", 0.25)))
+            # Wait out the idle hint on the channel, not in a sleep: the
+            # coordinator's ``done`` ends the wait at once.  Anything
+            # else that arrives is dropped and recovered by re-asking.
+            msg = ch.recv(timeout=float(msg.get("wait", 0.25)))
+            if msg is not None and msg.get("t") == MSG_DONE:
+                return True
             continue
         if mtype != MSG_GRANT:
             continue
@@ -105,13 +124,19 @@ def _serve_grants(ch: Channel, node_id: str, emit: Callable) -> bool:
         token = int(msg["token"])
         attempt = int(msg.get("attempt", 1))
         shard = Shard.from_json(msg["shard"])
+        # The run budget arrives as seconds left, not as a timestamp,
+        # so this node's clock need not agree with the coordinator's.
+        run_left = msg.get("run_left")
+        deadline = (time.time() + float(run_left)
+                    if run_left is not None else None)
         emit(f"[node {node_id}] shard {sid} leased "
              f"(token {token}, attempt {attempt})")
         beat = NetBeat(ch, node_id, sid, token, heartbeat)
         try:
             report, entries = _explore_shard(scenario, spec, shard,
                                              params, shard_id=sid,
-                                             attempt=attempt, beat=beat)
+                                             attempt=attempt,
+                                             deadline=deadline, beat=beat)
         except ConnectionError:
             raise  # a severed beat: reconnect, lease will be requeued
         except Exception as err:  # noqa: BLE001 — spend a retry upstream
@@ -128,9 +153,9 @@ def _serve_grants(ch: Channel, node_id: str, emit: Callable) -> bool:
         blob = flip_result_digit("pool.flip_result_byte", blob,
                                  shard=sid, attempt=attempt)
         crc = zlib.crc32(blob.encode("utf-8"))
-        # Same in-flight-damage fault site as the local pool's workers:
-        # the CRC is taken first, so injected corruption must be caught
-        # by the coordinator's check, never merged.
+        # The in-flight-damage fault site: the CRC is taken first, so
+        # injected corruption must be caught by the coordinator's
+        # check, never merged.
         blob = mutate_blob("worker.result", blob, shard=sid,
                            attempt=attempt)
         ch.send(MSG_RESULT, fault_shard=sid, fault_attempt=attempt,
@@ -189,3 +214,86 @@ def run_node(host: str, port: int, node_id: Optional[str] = None,
             policy.sleep(failures, key=f"node-{node_id}")
         finally:
             ch.close()
+
+
+def _local_node_main(sock: socket.socket, node_id: str, scenario,
+                     inherited) -> None:
+    """Body of a local node process: serve grants until ``done``."""
+    # A forked child holds copies of the coordinator's ends of every
+    # node's socketpair, its own included: close them, or a dead
+    # coordinator would never read as EOF to the surviving nodes.
+    for other in inherited:
+        other.close()
+    ch = Channel(sock)
+    try:
+        _serve_grants(ch, node_id, emit=lambda *_args: None,
+                      scenario=scenario)
+    except ConnectionError:
+        pass  # the coordinator is gone: nothing is left to serve
+    finally:
+        ch.close()
+
+
+class LocalNodes:
+    """Worker node processes on this machine, one socketpair each.
+
+    `spawn` starts a node and returns the coordinator's end as an
+    already-connected `Channel`; the coordinator needs no listener and
+    no acceptor.  Only the coordinator's serve thread starts or kills
+    nodes, and a node process touches none of the coordinator's locks,
+    so replacements may be forked while coordinator threads run.
+    """
+
+    def __init__(self, ctx, scenario):
+        self._ctx = ctx
+        self._fork = ctx.get_start_method() == "fork"
+        # Forked nodes inherit the scenario by memory; spawned ones
+        # rebuild it from the welcome's registry spec.
+        self._scenario = scenario if self._fork else None
+        self._procs: Dict[str, object] = {}
+        self._ends: Dict[str, socket.socket] = {}
+        self._count = 0
+
+    def __contains__(self, node_id: str) -> bool:
+        return node_id in self._procs
+
+    def spawn(self) -> Channel:
+        node_id = f"local-{self._count}"
+        self._count += 1
+        ours, theirs = socket.socketpair()
+        inherited = [*self._ends.values(), ours] if self._fork else []
+        proc = self._ctx.Process(
+            target=_local_node_main, name=f"repro-{node_id}",
+            args=(theirs, node_id, self._scenario, inherited), daemon=True)
+        proc.start()
+        theirs.close()
+        self._procs[node_id] = proc
+        self._ends[node_id] = ours
+        return Channel(ours)
+
+    def kill(self, node_id: str) -> int:
+        """SIGKILL and reap one node; returns its pid (0 if unknown)."""
+        self._ends.pop(node_id, None)
+        proc = self._procs.pop(node_id, None)
+        if proc is None:
+            return 0
+        proc.kill()
+        proc.join()
+        return proc.pid or 0
+
+    def close(self, grace: float) -> None:
+        """Reap every node: wait up to ``grace`` seconds for those told
+        ``done`` to exit, then SIGKILL whatever is still running (a
+        hedge's losing copy, or a node mid-shard when the run ended)."""
+        for end in self._ends.values():
+            # EOF after any queued ``done``: a node that never got to
+            # say hello stops waiting for its welcome at once.
+            try:
+                end.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+        end = time.monotonic() + grace
+        for proc in self._procs.values():
+            proc.join(max(end - time.monotonic(), 0.0))
+        for node_id in list(self._procs):
+            self.kill(node_id)

@@ -14,10 +14,10 @@ Message types (``"t"`` field)::
     -------------------         --------------------
     hello  {node, pid, proto,    welcome {spec, params, lease, heartbeat}
             fp}                  refuse {reason}
-    want   {node}                grant {shard_id, shard, token, attempt}
-    beat   {node, shard_id,      idle  {wait}
-            token, execs}        done  {}
-    result {node, shard_id,
+    want   {node}                grant {shard_id, shard, token, attempt,
+    beat   {node, shard_id,             run_left}
+            token, execs}        idle  {wait}
+    result {node, shard_id,      done  {}
             token, attempt,
             blob, blob_crc, pid}
     fail   {node, shard_id,

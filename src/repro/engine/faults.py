@@ -1,6 +1,6 @@
 """Deterministic fault injection: the engine's own adversary.
 
-The resilience machinery (watchdogs, budgets, durable logs) is verified
+The resilience machinery (leases, budgets, durable logs) is verified
 the same way the repo verifies memory-model executions — by *replaying a
 decision deterministically*.  A :class:`FaultPlan` is a seeded, explicit
 list of faults bound to named **sites**; instrumented code calls
@@ -12,7 +12,7 @@ site                  instrumented where
 ====================  =====================================================
 ``worker.explore``    once per execution inside a shard (crash/hang/raise)
 ``worker.result``     the serialized shard result before it crosses the
-                      pipe back to the driver (corrupt)
+                      socket back to the coordinator (corrupt)
 ``hedge.slow_worker``  the top of a shard exploration: an injected
                       per-shard delay, the straggler a hedged dispatch
                       must rescue (delay; `repro.engine.hedge`)
@@ -229,7 +229,7 @@ def fault_point(site: str, shard: Optional[int] = None,
             os._exit(CRASH_EXIT_CODE)
         if fault.kind == "hang":
             # A plain sleep: killable by SIGKILL, which is exactly how
-            # the watchdog is expected to clear it.
+            # the coordinator clears a hung node once its lease expires.
             time.sleep(fault.hang_seconds)
             return
         raise FaultInjected(f"injected transient fault at {site} "
@@ -257,7 +257,7 @@ def injected_delay(site: str, shard: Optional[int] = None,
     ``hedge.slow_worker`` site calls this at the top of a shard
     exploration and sleeps the returned amount *in heartbeat-sized
     chunks* — a straggler, not a hung worker — so the hedging layer
-    (`repro.engine.hedge`), not the watchdog, is what must rescue the
+    (`repro.engine.hedge`), not lease expiry, is what must rescue the
     shard.  One-shot per coordinates, like every exact fault: the
     hedged duplicate runs under a different attempt number and is never
     slowed.

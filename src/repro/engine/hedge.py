@@ -12,9 +12,9 @@ hedging can never change the merged report — only who delivers it.
 This module holds the policy half: :class:`DeadlineEstimator` tracks a
 runtime quantile of completed-shard durations and turns it into an
 adaptive hedge deadline (``quantile × factor``, clamped below by
-``floor``).  The mechanism half — duplicate futures in the pool, shadow
-grants in the dist coordinator — lives next to the dispatch loops it
-instruments (`repro.engine.pool`, `repro.engine.dist.coordinator`).
+``floor``).  The mechanism half — shadow grants — lives in the
+coordinator that dispatches shards to local and remote nodes alike
+(`repro.engine.dist.coordinator`).
 
 The estimator is deliberately deterministic: its reservoir keeps or
 evicts samples based only on ``(seed, observation count)``, never on

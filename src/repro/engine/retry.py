@@ -1,7 +1,7 @@
 """Jittered exponential backoff, deterministic per (key, attempt).
 
-The local pool (retrying a failed shard), the distributed layer (a node
-reconnecting, a lease being requeued), and the campaign service (a
+The inline loop (retrying a failed shard), the distributed layer (a
+node reconnecting, a lease being requeued), and the campaign service (a
 client resubmitting against a draining daemon) all need the same thing:
 an exponentially growing delay with jitter so simultaneous retriers do
 not stampede in lockstep.  The jitter is *seeded* — a hash of the

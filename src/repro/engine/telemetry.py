@@ -24,7 +24,8 @@ class TelemetrySummary:
     executions: int = 0
     steps: int = 0
     retries: int = 0
-    #: Hung workers the watchdog SIGKILLed (their shards were requeued).
+    #: Hung local worker nodes SIGKILLed and replaced after their lease
+    #: expired (their shards were requeued).
     hung_killed: int = 0
     #: Shard results that failed the driver-side CRC check.
     corrupt_results: int = 0

@@ -1,7 +1,7 @@
 """The silent-corruption audit layer (`repro.engine.audit`).
 
 Unit coverage of the fingerprint/sampler/bisection pieces, then the
-end-to-end conviction: a pool worker whose result blob is corrupted
+end-to-end conviction: a worker node whose result blob is corrupted
 *before* the CRC is stamped (framing-consistent lying) must be caught
 by the sampled trusted re-execution, quarantined, repaired in the
 merge, and leave a replayable divergence witness in the corpus.
@@ -93,7 +93,7 @@ class TestAuditedPoolRun:
         """Acceptance: `pool.flip_result_byte` rotates a digit of the
         execution count *before* the CRC is stamped, so the transport
         accepts the lie.  With ``audit_fraction=1.0`` the trusted
-        re-execution must convict the worker, quarantine the pool,
+        re-execution must convict the worker, quarantine it,
         substitute the trusted result (merge equals serial), degrade
         coverage honestly, and persist a replayable witness."""
         spec = hw_spec()

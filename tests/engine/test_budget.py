@@ -4,8 +4,8 @@ import time
 
 from repro.checking import check_scenario
 from repro.core import SpecStyle
-from repro.engine import (EngineParams, build_scenario, load_completed,
-                          run_scenario)
+from repro.engine import (EngineParams, ScenarioSpec, build_scenario,
+                          load_completed, run_scenario)
 from repro.engine.budget import BudgetSpec, BudgetTracker, Coverage
 
 from ._support import assert_reports_equal, vyukov_spec
@@ -46,12 +46,16 @@ class TestCoverage:
 
 
 class TestBudgetedRun:
+    #: Worker count of every run below.  `TestBudgetedRunOnNodes` reruns
+    #: them on worker nodes, which the budgets must reach.
+    workers = 1
+
     def test_shard_budget_degrades_gracefully(self):
         """A zero shard budget: every shard stops after one execution and
         the merged report says so honestly — no false ``exhausted``."""
         spec = vyukov_spec()
         params = EngineParams(styles=STYLES, exhaustive=True,
-                              max_steps=100_000, workers=1,
+                              max_steps=100_000, workers=self.workers,
                               target_shards=4, shard_seconds=0.0)
         result = run_scenario(build_scenario(spec), params, spec=spec)
         report = result.report
@@ -71,12 +75,12 @@ class TestBudgetedRun:
         ck = str(tmp_path / "ck.jsonl")
         scenario = build_scenario(spec)
         starved = EngineParams(styles=STYLES, exhaustive=True,
-                               max_steps=100_000, workers=1,
+                               max_steps=100_000, workers=self.workers,
                                target_shards=4, checkpoint_path=ck,
                                shard_seconds=0.0)
         run_scenario(scenario, starved, spec=spec)
         funded = EngineParams(styles=STYLES, exhaustive=True,
-                              max_steps=100_000, workers=1,
+                              max_steps=100_000, workers=self.workers,
                               target_shards=4, checkpoint_path=ck)
         result = run_scenario(build_scenario(spec), funded, spec=spec)
         assert not result.report.budget_exhausted
@@ -88,10 +92,25 @@ class TestBudgetedRun:
     def test_run_deadline_skips_remaining_shards(self):
         spec = vyukov_spec()
         params = EngineParams(styles=STYLES, exhaustive=True,
-                              max_steps=100_000, workers=1,
+                              max_steps=100_000, workers=self.workers,
                               target_shards=4, run_seconds=0.0)
         result = run_scenario(build_scenario(spec), params, spec=spec)
         assert result.telemetry.shards_skipped > 0
+        assert result.coverage.degraded
+        assert not result.report.exhausted
+
+    def test_run_deadline_stops_shards_in_flight(self):
+        """The run budget travels with each shard: a shard still
+        exploring at the deadline stops there and comes back partial
+        instead of running to its end."""
+        spec = ScenarioSpec("mixed-stress",
+                            kwargs={"impl": "ms-queue/ra", "threads": 3,
+                                    "ops": 2, "seed": 0})
+        params = EngineParams(styles=STYLES, exhaustive=True,
+                              max_steps=100_000, workers=self.workers,
+                              target_shards=4, run_seconds=0.3)
+        result = run_scenario(build_scenario(spec), params, spec=spec)
+        assert result.telemetry.budget_stops >= 1
         assert result.coverage.degraded
         assert not result.report.exhausted
 
@@ -99,6 +118,11 @@ class TestBudgetedRun:
         spec = vyukov_spec()
         report = check_scenario(build_scenario(spec), styles=STYLES,
                                 exhaustive=True, max_steps=100_000,
-                                spec=spec, shard_seconds=0.0)
+                                spec=spec, shard_seconds=0.0,
+                                workers=self.workers)
         assert report.budget_exhausted
         assert report.coverage is not None and report.coverage.degraded
+
+
+class TestBudgetedRunOnNodes(TestBudgetedRun):
+    workers = 2

@@ -69,3 +69,5 @@ class TestChaosMatrix:
         outcome = run_case(case, baseline_report(True))
         assert outcome.ok, outcome.mismatches
         assert "corrupt" in outcome.detail
+        # The CRC-failed result spent exactly one attempt: one retry.
+        assert outcome.detail.startswith("1 retries,")

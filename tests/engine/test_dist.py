@@ -443,8 +443,7 @@ class TestDistEquivalence:
             coord = Coordinator(
                 _engine_params(hedge=True, hedge_floor=0.25,
                                hedge_factor=1.5), hw_spec(),
-                DistParams(lease_seconds=10.0, node_wait_seconds=20.0,
-                           tick=0.05))
+                DistParams(lease_seconds=10.0, node_wait_seconds=20.0))
             thread, box = _serve_async(coord)
             workers = [threading.Thread(
                 target=run_node, args=(coord.host, coord.port),
@@ -472,8 +471,7 @@ class TestDistEquivalence:
         with plan:
             coord = Coordinator(
                 _engine_params(audit_fraction=1.0), hw_spec(),
-                DistParams(lease_seconds=5.0, node_wait_seconds=20.0,
-                           tick=0.05))
+                DistParams(lease_seconds=5.0, node_wait_seconds=20.0))
             thread, box = _serve_async(coord)
             workers = [threading.Thread(
                 target=run_node, args=(coord.host, coord.port),
@@ -513,7 +511,7 @@ class TestDistEquivalence:
                 coord = Coordinator(
                     _engine_params(), hw_spec(),
                     DistParams(lease_seconds=lease_seconds,
-                               node_wait_seconds=30.0, tick=0.05))
+                               node_wait_seconds=30.0))
                 thread, box = _serve_async(coord)
                 victim = ctx.Process(
                     target=_dist_node_main,
@@ -557,8 +555,7 @@ class TestDistEquivalence:
         with plan:
             coord = Coordinator(_engine_params(), hw_spec(),
                                 DistParams(lease_seconds=5.0,
-                                           node_wait_seconds=20.0,
-                                           tick=0.05))
+                                           node_wait_seconds=20.0))
             thread, box = _serve_async(coord)
             workers = [threading.Thread(
                 target=run_node, args=(coord.host, coord.port),
@@ -577,7 +574,7 @@ class TestDistEquivalence:
     def test_degraded_coverage_when_no_node_ever_joins(self):
         coord = Coordinator(_engine_params(), hw_spec(),
                             DistParams(lease_seconds=1.0,
-                                       node_wait_seconds=0.4, tick=0.05))
+                                       node_wait_seconds=0.4))
         result = coord.serve()
         assert result.coverage.degraded
         assert result.coverage.shards_complete == 0

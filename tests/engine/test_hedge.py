@@ -1,11 +1,11 @@
-"""Hedged shard execution (`repro.engine.hedge` + the pool wiring).
+"""Hedged shard execution (`repro.engine.hedge` + the coordinator wiring).
 
 Two halves: Hypothesis pins down the `DeadlineEstimator` policy
 (monotone in the observations, floor-clamped, seed-deterministic), and
-an end-to-end run proves the mechanism — a 4-worker pool with one
+an end-to-end run proves the mechanism — a 4-worker run with one
 straggling worker must merge byte-for-byte equal to the serial DPOR
 report, rescued by a speculative duplicate (non-zero hedge-win
-counter), never by the watchdog.
+counter), never by lease expiry.
 """
 
 from __future__ import annotations
@@ -107,8 +107,8 @@ class TestDeadlineEstimatorProperties:
 class TestHedgedPoolRun:
     def test_straggler_rescued_merge_equals_serial(self):
         """Acceptance: 4 workers, one pinned 2.5 s inside its shard by
-        an injected slow-worker fault (still heartbeating, so the
-        watchdog stays quiet).  The hedged run must merge exactly to
+        an injected slow-worker fault (still heartbeating, so its
+        lease stays renewed).  The hedged run must merge exactly to
         the serial report with at least one hedge win."""
         spec = hw_spec()
         serial = run_scenario(

@@ -1,4 +1,4 @@
-"""Failure handling: transient shard failures, worker crashes, the
+"""Failure handling: transient shard failures, worker node crashes, the
 spawn-only fallback, and checkpoint/corpus integrity across failures."""
 
 import multiprocessing
@@ -10,6 +10,7 @@ from repro.checking import Scenario, check_scenario
 from repro.core import SpecStyle
 from repro.engine import (EngineParams, ScenarioSpec, ShardFailed,
                           build_scenario, load_corpus, run_scenario)
+from repro.engine.faults import Fault, FaultPlan
 
 from ._support import assert_reports_equal, vyukov_spec
 
@@ -56,9 +57,9 @@ class TestWorkerCrash:
         "fork" not in multiprocessing.get_all_start_methods(),
         reason="ad-hoc scenarios reach workers only under fork")
     def test_crashed_worker_shard_is_requeued(self, tmp_path):
-        """One worker process dies hard (os._exit) on its first task; the
-        engine recycles the pool, requeues the lost shards, and still
-        produces the serial report."""
+        """One worker node dies hard (os._exit) on its first task; the
+        coordinator requeues its lease, forks a replacement node, and
+        still produces the serial report."""
         flag = tmp_path / "crash-once"
         flag.write_text("")
         parent = os.getpid()
@@ -83,6 +84,61 @@ class TestWorkerCrash:
         serial = check_scenario(base, styles=STYLES, runs=30, seed=4)
         assert_reports_equal(result.report, serial)
 
+    def test_only_the_crashed_nodes_shard_is_charged(self):
+        """A node dies hard inside shard 1's first attempt.  Its EOF
+        requeues only its own lease, so the run spends exactly one
+        retry — the other node's in-flight shard is never charged —
+        and still merges to the serial report."""
+        spec = vyukov_spec()
+        serial = run_scenario(build_scenario(spec),
+                              EngineParams(styles=STYLES, exhaustive=True,
+                                           max_steps=100_000),
+                              spec=spec).report
+        params = EngineParams(styles=STYLES, exhaustive=True,
+                              max_steps=100_000, workers=2,
+                              target_shards=4)
+        plan = FaultPlan((Fault("worker.explore", "crash", shard=1,
+                                attempt=1),))
+        with plan:
+            result = run_scenario(build_scenario(spec), params, spec=spec)
+        assert len(result.shards) == 4
+        assert result.telemetry.retries == 1
+        assert_reports_equal(result.report, serial)
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="ad-hoc scenarios reach worker nodes only under fork")
+    def test_persistent_failure_raises_with_two_workers(self):
+        """A local run never degrades silently: a shard that spends its
+        retry budget on worker nodes raises `ShardFailed`, exactly as
+        it does inline."""
+        base = build_scenario(vyukov_spec())
+
+        def doomed_factory():
+            raise RuntimeError("always broken")
+
+        scenario = Scenario("doomed", doomed_factory, base.extract)
+        params = EngineParams(styles=(), exhaustive=False, runs=4,
+                              workers=2, target_shards=2, max_retries=1)
+        with pytest.raises(ShardFailed):
+            run_scenario(scenario, params)
+
+
+class TestCoordinatorErrors:
+    def test_merge_side_error_fails_the_run(self, tmp_path):
+        """An error while the coordinator merges a node's result (here
+        the checkpoint directory is missing) fails the run with that
+        error, exactly as it does inline, instead of being charged to
+        the node and retried elsewhere."""
+        spec = vyukov_spec()
+        params = EngineParams(styles=STYLES, exhaustive=True,
+                              max_steps=100_000, workers=2,
+                              target_shards=4,
+                              checkpoint_path=str(tmp_path / "gone" /
+                                                  "ck.jsonl"))
+        with pytest.raises(OSError):
+            run_scenario(build_scenario(spec), params, spec=spec)
+
 
 class TestSpawnOnlyFallback:
     def test_adhoc_scenario_falls_back_to_inline(self, monkeypatch):
@@ -97,7 +153,7 @@ class TestSpawnOnlyFallback:
         params = EngineParams(styles=STYLES, exhaustive=False, runs=20,
                               seed=4, workers=2, target_shards=4)
         result = run_scenario(scenario, params)  # spec=None: ad-hoc
-        # Everything ran in this process — no pool was ever built.
+        # Everything ran in this process — no worker node was forked.
         assert set(result.telemetry.worker_shards) == {os.getpid()}
         serial = check_scenario(base, styles=STYLES, runs=20, seed=4)
         assert_reports_equal(result.report, serial)
