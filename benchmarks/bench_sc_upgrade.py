@@ -1,7 +1,7 @@
 """E11 — the SC-upgrade ablation: memory-model vs algorithmic weakness.
 
-Running every atomic at seq-cst (`sc_upgrade=True`) removes all
-memory-model weakness.  Two findings:
+Running every atomic at seq-cst (``model="sc"``, `repro.models.sc`)
+removes all memory-model weakness.  Two findings:
 
 * every litmus weak outcome vanishes (the knob works);
 * the Herlihy–Wing queue **still** fails abstract-state construction at
@@ -28,7 +28,7 @@ from repro.rmc.modes import RLX
 
 def upgraded_outcomes(factory):
     seen = set()
-    for r in explore_all(factory, sc_upgrade=True):
+    for r in explore_all(factory, model="sc"):
         if r.ok:
             seen.add(tuple(r.returns[tid] for tid in sorted(r.returns)))
     return seen
@@ -66,10 +66,10 @@ def queue_factory(build):
     return lambda: Program(setup, [p1, p2, c, c])
 
 
-def abs_failures(build, sc_upgrade, runs=1200):
+def abs_failures(build, model, runs=1200):
     bad = n = 0
     for r in explore_random(queue_factory(build), runs=runs, seed=3,
-                            sc_upgrade=sc_upgrade):
+                            model=model):
         if not r.ok:
             continue
         n += 1
@@ -83,10 +83,10 @@ def test_hw_prophecy_need_is_algorithmic(benchmark, report):
         hw = lambda mem: HWQueue.setup(mem, "q", capacity=8)
         ms = lambda mem: MSQueue.setup(mem, "q", RELACQ)
         return {
-            "hw relaxed": abs_failures(hw, False),
-            "hw SC-upgraded": abs_failures(hw, True),
-            "ms relaxed": abs_failures(ms, False),
-            "ms SC-upgraded": abs_failures(ms, True),
+            "hw relaxed": abs_failures(hw, "orc11"),
+            "hw SC-upgraded": abs_failures(hw, "sc"),
+            "ms relaxed": abs_failures(ms, "orc11"),
+            "ms SC-upgraded": abs_failures(ms, "sc"),
         }
     results = benchmark.pedantic(run, rounds=1, iterations=1)
     lines = [f"{k:<16} ABS-STATE failures: {bad}/{n}"

@@ -268,10 +268,8 @@ class AuditLog:
     """Coordinator-side audit bookkeeping."""
 
     sampler: AuditSampler
-    audits_done: int = 0
     findings: List[DivergenceFinding] = field(default_factory=list)
     witnesses: List[CorpusEntry] = field(default_factory=list)
-    quarantined: List[str] = field(default_factory=list)
 
     @property
     def divergences(self) -> int:

@@ -95,7 +95,7 @@ class CheckpointWriter:
     A failed append (``ENOSPC``/``EIO``, surfacing as
     `repro.engine.vfs.DurableWriteError`) does **not** propagate: the
     in-memory result is still merged, the error is collected in
-    ``write_errors``, and `repro.engine.pool.finalize_run` folds the
+    ``write_errors``, and `repro.engine.pool.RunState.finalize` folds the
     count into the run's `Coverage` so a resume-impaired run never
     claims a universal verdict.  The rollback inside
     `repro.engine.vfs.OsVFS.append_blob` guarantees the checkpoint file

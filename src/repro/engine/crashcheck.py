@@ -53,13 +53,10 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..core.spec_styles import SpecStyle
 from . import vfs as vfs_mod
-from .checkpoint import CheckpointWriter, run_fingerprint
 from .corpus import entry_hash, load_corpus
 from .merge import report_to_json
-from .pool import (EngineParams, _explore_shard, finalize_run,
-                   plan_shards_ex, run_scenario)
+from .pool import EngineParams, _explore_shard, run_scenario, start_run
 from .registry import ScenarioSpec, build_scenario
-from .telemetry import ProgressReporter
 from .vfs import IoOp, TraceVFS
 
 #: The recorded campaign: small and branchy, with real style
@@ -185,27 +182,14 @@ def record_workload(workdir: str) -> WorkloadFacts:
         acked[job.job_id] = len(trace.ops) - 1
         store.mark_running(job.job_id)
 
-        shards, planner_pruned = plan_shards_ex(scenario, params)
-        fingerprint = run_fingerprint(scenario.name, spec,
-                                      params.fingerprint_json(), shards)
-        writer = CheckpointWriter(params.checkpoint_path, fingerprint)
-        reporter = ProgressReporter(total_shards=len(shards),
-                                    enabled=False)
-        results = {}
-        token = 0
-        for sid, shard in enumerate(shards):
-            token += 1
+        run = start_run(scenario, spec, params, label="crashcheck")
+        for token, (sid, shard) in enumerate(run.pending(), start=1):
             store.record_grant(job.job_id, sid, token, 1, "local-0")
             report, entries = _explore_shard(scenario, spec, shard,
                                              params, shard_id=sid)
             store.record_merge(job.job_id, sid, token, report.executions)
-            results[sid] = (report, entries)
-            writer.write_shard(sid, report, entries)
-            reporter.on_shard_done(sid, 0, report.executions,
-                                   report.steps, report.pruned_subtrees)
-        result = finalize_run(scenario.name, params, shards,
-                              planner_pruned, results, set(), reporter,
-                              writer)
+            run.complete(sid, report, entries, 0)
+        result = run.finalize()
         vfs_mod.atomic_write_text(
             os.path.join(workdir, "report.json"),
             json.dumps(report_to_json(result.report), sort_keys=True,

@@ -19,8 +19,8 @@ an engine invariant that already exists:
 * a worker node is a thin loop around the engine's single-shard
   exploration path; a remote one reconnects with jittered exponential
   backoff (`repro.engine.dist.node`);
-* the merge is `repro.engine.pool.finalize_run` — shard-ordered, with
-  honest `Coverage` when nodes never return — so a 2-node run with one
+* the merge is `repro.engine.pool.RunState.finalize` — shard-ordered,
+  with honest `Coverage` when nodes never return — so a 2-node run with one
   node SIGKILLed mid-shard still merges byte-for-byte to the serial
   DPOR report.
 

@@ -85,12 +85,19 @@ class Coordinator:
     listener.  Local runs (`repro.engine.pool.run_scenario`) pass the
     already-started ``run``, the `LocalNodes` that forked the nodes,
     and the coordinator's ends of their socketpairs as ``channels``.
+
+    Everything the coordinator reports goes through the run's event
+    stream, ``run.reporter.emit`` (`repro.engine.telemetry.EVENTS`).
+    ``subscriber(kind, **fields)`` sees every event from here on (run
+    setup is done), synchronously: the campaign service's WAL records
+    ``grant``, ``merge`` and ``divergence`` before the action each
+    announces, and ``settled`` right before the merge.
     """
 
     def __init__(self, params: EngineParams, spec: Optional[ScenarioSpec],
                  dist: Optional[DistParams] = None,
                  listener: Optional[socket.socket] = None,
-                 on_event: Optional[Callable[..., None]] = None,
+                 subscriber: Optional[Callable[..., None]] = None,
                  token_floor: int = 0, run: Optional[RunState] = None,
                  local: Optional[LocalNodes] = None,
                  channels: Sequence[Channel] = ()):
@@ -110,13 +117,16 @@ class Coordinator:
         self.shards = run.shards
         self.results = run.results
         self.reporter = reporter = run.reporter
+        if subscriber is not None:
+            reporter.subscriber = subscriber
 
         def on_requeue(lease: Lease, reason: str) -> None:
             # Every spent attempt — a failure, a corrupt result, an
             # expired lease, a lost node — is one retry.  A closure over
             # the reporter, not a bound method: the table must not keep
             # the coordinator alive in a reference cycle.
-            reporter.on_retry(lease.shard_id, lease.attempt, reason)
+            reporter.emit("retry", shard=lease.shard_id,
+                          attempt=lease.attempt, error=reason)
 
         self.table = LeaseTable(len(self.shards),
                                 max_retries=params.max_retries,
@@ -126,12 +136,6 @@ class Coordinator:
                                 on_requeue=on_requeue)
         for sid in self.results:
             self.table.mark_done(sid)
-        # Observability hook for the campaign service: called as
-        # ``on_event(kind, **fields)`` with kinds "grant" (a fresh lease
-        # is about to go on the wire), "merge" (a result was accepted
-        # and merged), and "settled" (about to finalize) — so a WAL can
-        # record the transition *before* the action it describes.
-        self._on_event = on_event or (lambda kind, **fields: None)
         self._grant_seen: set = set()
         # Hedging (`repro.engine.hedge`): per-grant dispatch times feed
         # the deadline estimator; stragglers get a *shadow grant* — a
@@ -249,10 +253,10 @@ class Coordinator:
                     raise ShardFailed(
                         f"shard {sid} ({self.shards[sid]}) failed "
                         f"{self.table.attempts(sid)} times: {reason}")
-                self.reporter.on_skipped(sid, reason)
-            self._on_event("settled", settled=self.table.settled,
-                           drained=self._draining.is_set(),
-                           cancelled=self._cancelled.is_set())
+                self.reporter.emit("skipped", shard=sid, reason=reason)
+            self.reporter.emit("settled", settled=self.table.settled,
+                               drained=self._draining.is_set(),
+                               cancelled=self._cancelled.is_set())
             return self.run.finalize(self._audit_log)
 
     def _expire(self, now: float) -> List[Lease]:
@@ -260,7 +264,8 @@ class Coordinator:
         which are hung and must be killed.  Caller holds the lock."""
         hung = []
         for lease in self.table.expire(now):
-            self.reporter.on_lease_expired(lease.shard_id, lease.node_id)
+            self.reporter.emit("lease_expired", shard=lease.shard_id,
+                               node=lease.node_id)
             if self._local is not None and lease.node_id in self._local:
                 hung.append(lease)
         return hung
@@ -294,9 +299,9 @@ class Coordinator:
         for lease in hung:
             pid = self._local.kill(lease.node_id)
             with self._lock:
-                self.reporter.on_hung_worker(
-                    pid, lease.shard_id,
-                    now - lease.deadline + self.dist.lease_seconds)
+                self.reporter.emit(
+                    "hung_worker", pid=pid, shard=lease.shard_id,
+                    age=now - lease.deadline + self.dist.lease_seconds)
             self._spawn_local()
         with self._lock:
             lost, self._lost_local = self._lost_local, []
@@ -319,7 +324,7 @@ class Coordinator:
         in-flight lease has completed, failed, or expired."""
         if not self._draining.is_set():
             self._draining.set()
-            self.reporter.on_drain()
+            self.reporter.emit("drain")
         self._wake.set()
 
     @property
@@ -391,13 +396,14 @@ class Coordinator:
                 # formed results that are simply wrong: refuse it with
                 # the reason on the wire, before any grant.
                 with self._lock:
-                    self.reporter.on_node_refused(node_id, reason)
+                    self.reporter.emit("node_refused", node=node_id,
+                                       reason=reason)
                 ch.send(MSG_REFUSE, reason=reason)
                 node_id = None
                 return
             with self._lock:
                 self._nodes[node_id] = ch
-                self.reporter.on_node_joined(node_id)
+                self.reporter.emit("node_joined", node=node_id)
                 self._wake.set()
             ch.send(MSG_WELCOME,
                     spec=self.spec.to_json() if self.spec else None,
@@ -440,8 +446,9 @@ class Coordinator:
             if nid == node_id:
                 del self._shadow[sid]
         if not self.table.settled:
-            self.reporter.on_node_lost(
-                node_id, f"connection lost ({len(lost)} leases requeued)")
+            self.reporter.emit(
+                "node_lost", node=node_id,
+                reason=f"connection lost ({len(lost)} leases requeued)")
         if lost and self._local is not None and node_id in self._local:
             self._lost_local.append(node_id)
         self._wake.set()
@@ -493,9 +500,9 @@ class Coordinator:
                 # on the wire (grant replies are idempotent per node,
                 # so a re-sent lease must not double-log).
                 self._grant_seen.add((lease.shard_id, lease.token))
-                self._on_event("grant", shard=lease.shard_id,
-                               token=lease.token, attempt=lease.attempt,
-                               node=node_id)
+                self.reporter.emit("grant", shard=lease.shard_id,
+                                   token=lease.token,
+                                   attempt=lease.attempt, node=node_id)
                 self._lease_started[(lease.shard_id, lease.token)] = now
                 self._wake.set()  # a new lease deadline to watch
             if lease is None and not settled:
@@ -551,11 +558,13 @@ class Coordinator:
         hedge_attempt = HEDGE_ATTEMPT_BASE + attempt
         self._shadow[sid] = (token, node_id)
         self._lease_started[(sid, token)] = now
-        # Shadow tokens go through the same WAL channel as leases: a
-        # restarted coordinator's token floor must clear them too.
-        self._on_event("grant", shard=sid, token=token,
-                       attempt=hedge_attempt, node=node_id)
-        self.reporter.on_hedge(sid, elapsed, deadline)
+        # Shadow tokens are granted like leases, so the WAL records
+        # them too: a restarted coordinator's token floor must clear
+        # them.
+        self.reporter.emit("grant", shard=sid, token=token,
+                           attempt=hedge_attempt, node=node_id)
+        self.reporter.emit("hedge", shard=sid, elapsed=elapsed,
+                           deadline=deadline)
         return (sid, token, hedge_attempt)
 
     def _on_result(self, node_id: str, msg: Dict) -> None:
@@ -570,7 +579,7 @@ class Coordinator:
                 report, entries = engine_pool._decode_result(
                     sid, msg["blob"], msg["blob_crc"])
             except ResultCorrupt:
-                self.reporter.on_corrupt_result(sid)
+                self.reporter.emit("corrupt_result", shard=sid)
                 if is_shadow:
                     # A corrupt duplicate just retires the hedge; the
                     # primary lease is untouched.
@@ -584,15 +593,15 @@ class Coordinator:
                 if sid in self.results:
                     # The primary beat its duplicate home; the hedge's
                     # price is known once the loser lands.
-                    self.reporter.summary.hedge_wasted_execs += \
-                        report.executions
+                    self.reporter.emit("hedge_waste", shard=sid,
+                                       executions=report.executions)
                     return
                 # The duplicate wins: popping the primary lease is what
                 # fences the straggler — its later submission matches no
                 # current lease and is rejected STALE below.
                 self.table.mark_done(sid)
                 self._hedge_won.add(sid)
-                self.reporter.on_hedge_win(sid)
+                self.reporter.emit("hedge_win", shard=sid)
                 self._complete(sid, report, entries,
                                int(msg.get("pid", 0)), token, node_id)
                 return
@@ -600,16 +609,16 @@ class Coordinator:
             if verdict != ACCEPTED:
                 # A resurrected node's stale submission — or the fenced
                 # straggler of a won hedge: either way, counted once.
-                self.reporter.on_fenced(sid, node_id)
+                self.reporter.emit("fenced", shard=sid, node=node_id)
                 if sid in self._hedge_won:
                     self._hedge_won.discard(sid)
-                    self.reporter.summary.hedge_wasted_execs += \
-                        report.executions
+                    self.reporter.emit("hedge_waste", shard=sid,
+                                       executions=report.executions)
                 return
             if sid in self._shadow:
                 # The original dispatch won after all; the duplicate in
                 # flight is a loser (its execs are charged on landing).
-                self.reporter.on_hedge_loss(sid)
+                self.reporter.emit("hedge_loss", shard=sid)
             self._complete(sid, report, entries, int(msg.get("pid", 0)),
                            token, node_id)
 
@@ -619,13 +628,13 @@ class Coordinator:
         with self._lock:
             if not self.table.fail(sid, token, node_id, time.time(),
                                    error):
-                self.reporter.on_fenced(sid, node_id)
+                self.reporter.emit("fenced", shard=sid, node=node_id)
 
     def _complete(self, sid: int, report: ScenarioReport,
                   entries: List[CorpusEntry], pid: int,
                   token: int = 0, node_id: str = "") -> None:
-        self._on_event("merge", shard=sid, token=token,
-                       executions=report.executions)
+        self.reporter.emit("merge", shard=sid, token=token,
+                           executions=report.executions)
         started = self._lease_started.pop((sid, token), None)
         if self._hedger is not None and started is not None:
             self._hedger.observe(time.time() - started)
@@ -660,26 +669,26 @@ class Coordinator:
                 worker=f"node {node_id or '?'}")
             convicted = False
             with self._lock:
-                self._audit_log.audits_done += 1
-                self.reporter.on_audit(sid, finding is not None)
+                self.reporter.emit("audit", shard=sid)
                 if finding is None:
                     continue
                 self._audit_log.findings.append(finding)
                 self._audit_log.witnesses.append(
                     divergence_witness(finding, self.spec, self.params))
-                self._on_event("divergence", shard=sid, node=node_id,
-                               finding=finding.to_json())
+                self.reporter.emit("divergence", shard=sid, node=node_id,
+                                   finding=finding.to_json())
                 self.run.replace(sid, *trusted)
                 if node_id and node_id not in self._quarantined:
                     convicted = True
                     self._quarantined.add(node_id)
-                    self._audit_log.quarantined.append(node_id)
-                    self.reporter.on_worker_quarantined(
-                        f"node {node_id}", finding.describe())
+                    self.reporter.emit("worker_quarantined",
+                                       who=f"node {node_id}",
+                                       reason=finding.describe())
                     for lease in self.table.release_node(node_id,
                                                          time.time()):
-                        self.reporter.on_lease_expired(lease.shard_id,
-                                                       node_id)
+                        self.reporter.emit("lease_expired",
+                                           shard=lease.shard_id,
+                                           node=node_id)
             if convicted and self._local is not None \
                     and node_id in self._local:
                 self._local.kill(node_id)

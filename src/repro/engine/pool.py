@@ -363,11 +363,13 @@ class RunState:
         if report.budget_exhausted:
             # Not checkpointed: a later, better-funded resume should
             # re-explore a truncated shard rather than trust its stub.
-            self.reporter.on_budget_stop(sid)
+            self.reporter.emit("budget_stop", shard=sid)
         elif self.writer is not None:
             self.writer.write_shard(sid, report, entries)
-        self.reporter.on_shard_done(sid, pid, report.executions,
-                                    report.steps, report.pruned_subtrees)
+        self.reporter.emit("shard_done", shard=sid, pid=pid,
+                           executions=report.executions,
+                           steps=report.steps,
+                           pruned=report.pruned_subtrees)
 
     def replace(self, sid: int, report: ScenarioReport,
                 entries: List[CorpusEntry]) -> None:
@@ -381,10 +383,77 @@ class RunState:
 
     def finalize(self, audit_log: Optional[AuditLog] = None) \
             -> EngineResult:
-        return finalize_run(self.scenario.name, self.params, self.shards,
-                            self.planner_pruned, self.results,
-                            self.markers, self.reporter, self.writer,
-                            audit_log=audit_log)
+        """Merge the per-shard results into one honest `EngineResult`.
+
+        The shared tail of every run: fold the partial reports in shard
+        order, charge planner prunes exactly once, account coverage for
+        anything truncated or missing, and flush the deduplicated
+        corpus.
+        """
+        params, shards, results = self.params, self.shards, self.results
+        writer, reporter = self.writer, self.reporter
+        ordered = sorted(results)
+        report = merge_reports(self.scenario.name,
+                               (results[sid][0] for sid in ordered),
+                               params.exhaustive)
+        # Branches the planner itself pruned at pinned prefix nodes:
+        # charged here, exactly once, so sharded totals equal the serial
+        # DPOR run.
+        report.pruned_subtrees += self.planner_pruned
+        entries: List[CorpusEntry] = []
+        seen_hashes: Set[str] = set()
+        for sid in ordered:
+            for entry in results[sid][1]:
+                # Same content-hash dedupe as the on-disk corpus, so
+                # `corpus_entries` mirrors what a flush would persist.
+                key = entry_hash(entry.to_json())
+                if key not in seen_hashes:
+                    seen_hashes.add(key)
+                    entries.append(entry)
+        del entries[params.corpus_cap:]
+        if audit_log is not None:
+            # Divergence witnesses ride above the per-run cap: there are
+            # at most a handful and each one names a provably-lying
+            # executor.
+            for witness in audit_log.witnesses:
+                key = entry_hash(witness.to_json())
+                if key not in seen_hashes:
+                    seen_hashes.add(key)
+                    entries.append(witness)
+        flush_errors: List[str] = []
+        if params.corpus_path:
+            # Content-hash dedupe makes the flush idempotent, so a crash
+            # between the append and the marker cannot duplicate entries
+            # — and a torn corpus line is healed by the next resume.  A
+            # flush hitting a full/failing disk degrades coverage below
+            # instead of losing the in-memory result.
+            append_entries(params.corpus_path, entries,
+                           errors=flush_errors)
+            if writer is not None and "corpus_flushed" not in self.markers:
+                writer.write_marker("corpus_flushed")
+        durable_errors: List[str] = flush_errors + \
+            (list(writer.write_errors) if writer is not None else [])
+        for detail in durable_errors:
+            reporter.emit("durable_error", detail=detail)
+        telemetry = reporter.finish()
+        complete_sids = {sid for sid in results
+                         if not results[sid][0].budget_exhausted}
+        coverage = Coverage(
+            shards_total=len(shards),
+            shards_complete=len(complete_sids),
+            truncated=[shards[sid].describe() for sid in range(len(shards))
+                       if sid not in complete_sids],
+            durable_errors=len(durable_errors),
+            divergences=audit_log.divergences if audit_log else 0)
+        report.coverage = coverage
+        if coverage.degraded:
+            # A degraded run must never claim a universal result —
+            # whether work was truncated or its durable record failed to
+            # land.
+            report.exhausted = False
+        return EngineResult(report=report, telemetry=telemetry,
+                            shards=shards, corpus_entries=entries,
+                            coverage=coverage)
 
 
 def start_run(scenario: Scenario, spec: Optional[ScenarioSpec],
@@ -405,11 +474,12 @@ def start_run(scenario: Scenario, spec: Optional[ScenarioSpec],
                 results[sid] = (report, entries)
     reporter = ProgressReporter(total_shards=len(shards),
                                 enabled=params.progress, label=label)
-    reporter.on_quarantined(quarantined)
-    reporter.on_planner_pruned(planner_pruned)
-    for report, _entries in results.values():
-        reporter.on_resumed(report.executions, report.steps,
-                            report.pruned_subtrees)
+    reporter.emit("quarantined", count=quarantined)
+    reporter.emit("planner_pruned", count=planner_pruned)
+    for sid, (report, _entries) in results.items():
+        reporter.emit("resumed", shard=sid, pid=0,
+                      executions=report.executions, steps=report.steps,
+                      pruned=report.pruned_subtrees)
     writer = CheckpointWriter(params.checkpoint_path, fingerprint) \
         if params.checkpoint_path else None
     deadline = (time.time() + params.run_seconds
@@ -459,84 +529,12 @@ def _node_context(params: EngineParams, spec: Optional[ScenarioSpec]):
     return multiprocessing.get_context(method)
 
 
-def finalize_run(scenario_name: str, params: EngineParams,
-                 shards: List[Shard], planner_pruned: int,
-                 results: Dict[int, Tuple[ScenarioReport,
-                                          List[CorpusEntry]]],
-                 markers: set, reporter: ProgressReporter,
-                 writer: Optional[CheckpointWriter],
-                 audit_log: Optional[AuditLog] = None) -> EngineResult:
-    """Merge per-shard results into one honest `EngineResult`.
-
-    The shared tail of every run (`RunState.finalize`): fold the
-    partial reports in shard order, charge planner prunes exactly once,
-    account coverage for anything truncated or missing, and flush the
-    deduplicated corpus.
-    """
-    ordered = sorted(results)
-    report = merge_reports(scenario_name,
-                           (results[sid][0] for sid in ordered),
-                           params.exhaustive)
-    # Branches the planner itself pruned at pinned prefix nodes: charged
-    # here, exactly once, so sharded totals equal the serial DPOR run.
-    report.pruned_subtrees += planner_pruned
-    entries: List[CorpusEntry] = []
-    seen_hashes: Set[str] = set()
-    for sid in ordered:
-        for entry in results[sid][1]:
-            # Same content-hash dedupe as the on-disk corpus, so
-            # `corpus_entries` mirrors what a flush would persist.
-            key = entry_hash(entry.to_json())
-            if key not in seen_hashes:
-                seen_hashes.add(key)
-                entries.append(entry)
-    del entries[params.corpus_cap:]
-    if audit_log is not None:
-        # Divergence witnesses ride above the per-run cap: there are at
-        # most a handful and each one names a provably-lying executor.
-        for witness in audit_log.witnesses:
-            key = entry_hash(witness.to_json())
-            if key not in seen_hashes:
-                seen_hashes.add(key)
-                entries.append(witness)
-    flush_errors: List[str] = []
-    if params.corpus_path:
-        # Content-hash dedupe makes the flush idempotent, so a crash
-        # between the append and the marker cannot duplicate entries —
-        # and a torn corpus line is healed by the next resume.  A flush
-        # hitting a full/failing disk degrades coverage below instead
-        # of losing the in-memory result.
-        append_entries(params.corpus_path, entries, errors=flush_errors)
-        if writer is not None and "corpus_flushed" not in markers:
-            writer.write_marker("corpus_flushed")
-    durable_errors: List[str] = flush_errors + \
-        (list(writer.write_errors) if writer is not None else [])
-    for detail in durable_errors:
-        reporter.on_durable_error(detail)
-    telemetry = reporter.finish()
-    complete_sids = {sid for sid in results
-                     if not results[sid][0].budget_exhausted}
-    coverage = Coverage(
-        shards_total=len(shards),
-        shards_complete=len(complete_sids),
-        truncated=[shards[sid].describe() for sid in range(len(shards))
-                   if sid not in complete_sids],
-        durable_errors=len(durable_errors),
-        divergences=audit_log.divergences if audit_log else 0)
-    report.coverage = coverage
-    if coverage.degraded:
-        # A degraded run must never claim a universal result — whether
-        # work was truncated or its durable record failed to land.
-        report.exhausted = False
-    return EngineResult(report=report, telemetry=telemetry, shards=shards,
-                        corpus_entries=entries, coverage=coverage)
-
-
 def _run_inline(run: RunState) -> None:
     params = run.params
     for sid, shard in run.pending():
         if run.out_of_time():
-            run.reporter.on_skipped(sid, RUN_BUDGET_SPENT)
+            run.reporter.emit("skipped", shard=sid,
+                              reason=RUN_BUDGET_SPENT)
             continue
         attempt = 1
         while True:
@@ -548,7 +546,8 @@ def _run_inline(run: RunState) -> None:
                                                  deadline=run.deadline)
                 break
             except Exception as err:  # noqa: BLE001 — requeue any failure
-                run.reporter.on_retry(sid, attempt, repr(err))
+                run.reporter.emit("retry", shard=sid, attempt=attempt,
+                                  error=repr(err))
                 attempt += 1
                 if attempt > params.max_retries + 1:
                     raise ShardFailed(

@@ -1,9 +1,13 @@
-"""Run telemetry: executions/sec, ETA, and per-worker counters.
+"""Run telemetry: one event stream, its counters and progress lines.
 
-The reporter is driven by the engine's completion loop (one call per
-finished shard) and prints throttled progress lines to stderr — the
-``--progress`` flag on the CLI.  The same counters back the scaling row
-in ``benchmarks/bench_micro.py`` through `TelemetrySummary`.
+Everything the engine reports about a run goes through one call,
+``ProgressReporter.emit(kind, **fields)``.  The `EVENTS` table says,
+for each kind, which `TelemetrySummary` counters it updates and which
+progress line it prints — throttled status lines and event lines on
+stderr are the ``--progress`` flag of the CLI.  An optional subscriber
+sees every event after that; the campaign service's WAL is one
+(`repro.service.daemon`).  The same counters back the scaling row in
+``benchmarks/bench_micro.py`` through `TelemetrySummary`.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional, TextIO
+from typing import Callable, Dict, Optional, TextIO, Tuple
 
 
 @dataclass
@@ -90,8 +94,98 @@ class TelemetrySummary:
         return self.executions + self.pruned_subtrees
 
 
+@dataclass(frozen=True)
+class EventKind:
+    """What one kind of engine event does to the run's telemetry."""
+
+    #: ``(summary field, event field)`` pairs: the event adds that
+    #: field's value to the counter (``None`` adds 1).  A flag is set;
+    #: a per-worker map is bumped under the event's ``pid``.
+    counts: Tuple[Tuple[str, Optional[str]], ...] = ()
+    #: The progress line, formatted over the event's fields; `STATUS`
+    #: for the throttled status line; ``None`` prints nothing.
+    line: Optional[str] = None
+
+
+#: `EventKind.line` of events that print the throttled status line.
+STATUS = "<status>"
+
+_DONE = (("shards_done", None), ("executions", "executions"),
+         ("steps", "steps"), ("pruned_subtrees", "pruned"),
+         ("worker_shards", None), ("worker_executions", "executions"))
+
+#: Every event the engine emits.  `ProgressReporter.emit` is the only
+#: way counters change or progress lines are printed, and subscribers
+#: (the campaign service's WAL) see the same stream, in order.
+EVENTS: Dict[str, EventKind] = {
+    # -- run setup (`repro.engine.pool.start_run`) ---------------------
+    "quarantined": EventKind((("quarantined_lines", "count"),)),
+    "planner_pruned": EventKind((("pruned_subtrees", "count"),)),
+    "resumed": EventKind(_DONE + (("shards_resumed", None),)),
+    # -- shard outcomes ------------------------------------------------
+    "shard_done": EventKind(_DONE, STATUS),
+    "budget_stop": EventKind((("budget_stops", None),)),
+    "retry": EventKind((("retries", None),),
+                       "shard {shard} failed (attempt {attempt}): "
+                       "{error}; requeued"),
+    "skipped": EventKind((("shards_skipped", None),),
+                         "shard {shard} skipped: {reason}"),
+    "corrupt_result": EventKind((("corrupt_results", None),),
+                                "shard {shard} returned a corrupt result "
+                                "(CRC mismatch); requeued"),
+    "durable_error": EventKind((("durable_write_errors", None),),
+                               "durable write failed ({detail}); "
+                               "continuing in-memory with degraded "
+                               "coverage"),
+    # -- nodes and leases (`repro.engine.dist.coordinator`) -----------
+    "node_joined": EventKind((("nodes_joined", None),),
+                             "node {node} joined"),
+    "node_lost": EventKind((("nodes_lost", None),),
+                           "node {node} lost: {reason}"),
+    "node_refused": EventKind((("nodes_refused", None),),
+                              "node {node} refused: {reason}"),
+    "hung_worker": EventKind((("hung_killed", None),),
+                             "worker {pid} hung on shard {shard} (no "
+                             "heartbeat for {age:.1f}s); killed and "
+                             "requeued"),
+    "lease_expired": EventKind((("leases_expired", None),),
+                               "lease on shard {shard} (node {node}) "
+                               "expired; requeued"),
+    "fenced": EventKind((("results_fenced", None),),
+                        "stale result for shard {shard} from node "
+                        "{node} fenced off"),
+    "drain": EventKind((("drained", None),),
+                       "draining: no new grants, waiting for in-flight "
+                       "leases"),
+    # A lease is about to go on the wire; a result was accepted and is
+    # about to be merged; the run is about to finalize.  Counted
+    # nowhere: the WAL records them before the action they describe.
+    "grant": EventKind(),
+    "merge": EventKind(),
+    "settled": EventKind(),
+    # -- hedging (`repro.engine.hedge`) --------------------------------
+    "hedge": EventKind((("hedges_issued", None),),
+                       "shard {shard} past its hedge deadline "
+                       "({elapsed:.1f}s > {deadline:.1f}s); "
+                       "speculatively re-dispatched"),
+    "hedge_win": EventKind((("hedge_wins", None),),
+                           "hedge won shard {shard}; original dispatch "
+                           "abandoned"),
+    "hedge_loss": EventKind((("hedge_losses", None),)),
+    "hedge_waste": EventKind((("hedge_wasted_execs", "executions"),)),
+    # -- audit (`repro.engine.audit`) ----------------------------------
+    "audit": EventKind((("audits_done", None),)),
+    "divergence": EventKind((("audit_divergences", None),),
+                            "audit: shard {shard} diverged from trusted "
+                            "re-execution"),
+    "worker_quarantined": EventKind((("workers_quarantined", None),),
+                                    "quarantined {who}: {reason}"),
+}
+
+
 class ProgressReporter:
-    """Throttled progress lines over a running `TelemetrySummary`."""
+    """The run's event stream: counters, throttled progress lines, and
+    one optional ``subscriber(kind, **fields)`` called after both."""
 
     def __init__(self, total_shards: int, enabled: bool = True,
                  out: Optional[TextIO] = None, interval: float = 0.5,
@@ -101,157 +195,44 @@ class ProgressReporter:
         self.out = out if out is not None else sys.stderr
         self.interval = interval
         self.label = label
+        self.subscriber: Optional[Callable[..., None]] = None
         self._start = time.perf_counter()
         self._last_emit = 0.0
 
-    def on_resumed(self, executions: int, steps: int,
-                   pruned: int = 0) -> None:
+    def emit(self, kind: str, **fields) -> None:
+        """Record one event: update its counters, print its line, then
+        hand it to the subscriber (synchronously, so a WAL record lands
+        before the caller acts)."""
+        spec = EVENTS.get(kind)
+        if spec is None:
+            raise ValueError(f"unknown engine event {kind!r}")
         s = self.summary
-        s.shards_done += 1
-        s.shards_resumed += 1
-        s.executions += executions
-        s.steps += steps
-        s.pruned_subtrees += pruned
-        s.worker_shards[0] = s.worker_shards.get(0, 0) + 1
-        s.worker_executions[0] = s.worker_executions.get(0, 0) + executions
-
-    def on_shard_done(self, shard_id: int, pid: int, executions: int,
-                      steps: int, pruned: int = 0) -> None:
-        s = self.summary
-        s.shards_done += 1
-        s.executions += executions
-        s.steps += steps
-        s.pruned_subtrees += pruned
-        s.worker_shards[pid] = s.worker_shards.get(pid, 0) + 1
-        s.worker_executions[pid] = \
-            s.worker_executions.get(pid, 0) + executions
-        self._emit()
-
-    def on_planner_pruned(self, count: int) -> None:
-        """Branches the DPOR-aware planner pruned at pinned prefix nodes."""
-        self.summary.pruned_subtrees += count
-
-    def on_retry(self, shard_id: int, attempt: int, error: str) -> None:
-        self.summary.retries += 1
-        if self.enabled:
-            print(f"[{self.label}] shard {shard_id} failed "
-                  f"(attempt {attempt}): {error}; requeued",
+        for counter, source in spec.counts:
+            amount = 1 if source is None else fields[source]
+            value = getattr(s, counter)
+            if isinstance(value, dict):
+                pid = fields["pid"]
+                value[pid] = value.get(pid, 0) + amount
+            elif isinstance(value, bool):
+                setattr(s, counter, True)
+            else:
+                setattr(s, counter, value + amount)
+        if spec.line is STATUS:
+            self._status()
+        elif spec.line is not None and self.enabled:
+            print(f"[{self.label}] {spec.line.format(**fields)}",
                   file=self.out, flush=True)
-
-    def on_hung_worker(self, pid: int, shard_id: int, age: float) -> None:
-        self.summary.hung_killed += 1
-        if self.enabled:
-            print(f"[{self.label}] worker {pid} hung on shard {shard_id} "
-                  f"(no heartbeat for {age:.1f}s); killed and requeued",
-                  file=self.out, flush=True)
-
-    def on_corrupt_result(self, shard_id: int) -> None:
-        self.summary.corrupt_results += 1
-        if self.enabled:
-            print(f"[{self.label}] shard {shard_id} returned a corrupt "
-                  f"result (CRC mismatch); requeued",
-                  file=self.out, flush=True)
-
-    def on_skipped(self, shard_id: int, reason: str) -> None:
-        self.summary.shards_skipped += 1
-        if self.enabled:
-            print(f"[{self.label}] shard {shard_id} skipped: {reason}",
-                  file=self.out, flush=True)
-
-    def on_budget_stop(self, shard_id: int) -> None:
-        self.summary.budget_stops += 1
-
-    def on_node_joined(self, node_id: str) -> None:
-        self.summary.nodes_joined += 1
-        if self.enabled:
-            print(f"[{self.label}] node {node_id} joined",
-                  file=self.out, flush=True)
-
-    def on_node_lost(self, node_id: str, reason: str) -> None:
-        self.summary.nodes_lost += 1
-        if self.enabled:
-            print(f"[{self.label}] node {node_id} lost: {reason}",
-                  file=self.out, flush=True)
-
-    def on_node_refused(self, node_id: str, reason: str) -> None:
-        self.summary.nodes_refused += 1
-        if self.enabled:
-            print(f"[{self.label}] node {node_id} refused: {reason}",
-                  file=self.out, flush=True)
-
-    def on_lease_expired(self, shard_id: int, node_id: str) -> None:
-        self.summary.leases_expired += 1
-        if self.enabled:
-            print(f"[{self.label}] lease on shard {shard_id} "
-                  f"(node {node_id}) expired; requeued",
-                  file=self.out, flush=True)
-
-    def on_fenced(self, shard_id: int, node_id: str) -> None:
-        self.summary.results_fenced += 1
-        if self.enabled:
-            print(f"[{self.label}] stale result for shard {shard_id} "
-                  f"from node {node_id} fenced off",
-                  file=self.out, flush=True)
-
-    def on_quarantined(self, count: int) -> None:
-        self.summary.quarantined_lines += count
-
-    def on_durable_error(self, detail: str) -> None:
-        """A checkpoint/corpus write failed (disk full, I/O error); the
-        campaign carries on in memory with honest coverage accounting."""
-        self.summary.durable_write_errors += 1
-        if self.enabled:
-            print(f"[{self.label}] durable write failed ({detail}); "
-                  f"continuing in-memory with degraded coverage",
-                  file=self.out, flush=True)
-
-    def on_hedge(self, shard_id: int, elapsed: float,
-                 deadline: float) -> None:
-        self.summary.hedges_issued += 1
-        if self.enabled:
-            print(f"[{self.label}] shard {shard_id} past its hedge "
-                  f"deadline ({elapsed:.1f}s > {deadline:.1f}s); "
-                  f"speculatively re-dispatched", file=self.out, flush=True)
-
-    def on_hedge_win(self, shard_id: int) -> None:
-        self.summary.hedge_wins += 1
-        if self.enabled:
-            print(f"[{self.label}] hedge won shard {shard_id}; original "
-                  f"dispatch abandoned", file=self.out, flush=True)
-
-    def on_hedge_loss(self, shard_id: int, wasted_execs: int = 0) -> None:
-        self.summary.hedge_losses += 1
-        self.summary.hedge_wasted_execs += wasted_execs
-
-    def on_audit(self, shard_id: int, diverged: bool) -> None:
-        self.summary.audits_done += 1
-        if diverged:
-            self.summary.audit_divergences += 1
-            if self.enabled:
-                print(f"[{self.label}] audit: shard {shard_id} diverged "
-                      f"from trusted re-execution", file=self.out,
-                      flush=True)
-
-    def on_worker_quarantined(self, who: str, reason: str) -> None:
-        self.summary.workers_quarantined += 1
-        if self.enabled:
-            print(f"[{self.label}] quarantined {who}: {reason}",
-                  file=self.out, flush=True)
-
-    def on_drain(self) -> None:
-        self.summary.drained = True
-        if self.enabled:
-            print(f"[{self.label}] draining: no new grants, waiting for "
-                  f"in-flight leases", file=self.out, flush=True)
+        if self.subscriber is not None:
+            self.subscriber(kind, **fields)
 
     def finish(self) -> TelemetrySummary:
         self.summary.wall_seconds = time.perf_counter() - self._start
         if self.enabled:
-            self._emit(force=True, final=True)
+            self._status(force=True, final=True)
         return self.summary
 
     # ------------------------------------------------------------------
-    def _emit(self, force: bool = False, final: bool = False) -> None:
+    def _status(self, force: bool = False, final: bool = False) -> None:
         if not self.enabled:
             return
         now = time.perf_counter()

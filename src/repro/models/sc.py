@@ -1,10 +1,10 @@
 """The SC model: every atomic access executes seq-cst.
 
-The strongest point of the lattice, and deliberately the model the
-machine's ``sc_upgrade`` ablation knob already implements by op-mode
-mutation: every non-NA access and fence is strengthened to ``Mode.SC``,
-so reads are modification-order-maximal and every access synchronizes
-through the global SC view.  Interleaving nondeterminism remains; stale
+The strongest point of the lattice, and the model of the SC-upgrade
+ablation (E11, ``model="sc"``): every non-NA access and fence is
+strengthened to ``Mode.SC`` as it executes — the op itself is never
+changed — so reads are modification-order-maximal and every access
+synchronizes through the global SC view.  Interleaving nondeterminism remains; stale
 reads do not — all litmus weak outcomes vanish (SB reads 0/0 is gone,
 IRIW readers agree), which is exactly sequential consistency in a
 message-memory presentation.

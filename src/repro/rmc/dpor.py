@@ -302,7 +302,6 @@ def explore_all_dpor(
     max_steps: int = 2_000,
     max_executions: int = 200_000,
     race_detection: bool = True,
-    sc_upgrade: bool = False,
     prefix: Sequence[int] = (),
     sleep: Sequence[Footprint] = (),
     stats: Optional[DporStats] = None,
@@ -337,7 +336,7 @@ def explore_all_dpor(
         try:
             result = factory().run(decider, max_steps=max_steps,
                                    race_detection=race_detection,
-                                   sc_upgrade=sc_upgrade, model=model)
+                                   model=model)
         except SleepSetCut:
             result = None
         if stats is not None:

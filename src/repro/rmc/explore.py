@@ -107,7 +107,6 @@ def explore_all(
     max_steps: int = 2_000,
     max_executions: int = 200_000,
     race_detection: bool = True,
-    sc_upgrade: bool = False,
     prefix: Sequence[int] = (),
     model=None,
 ) -> Iterator[ExecutionResult]:
@@ -129,8 +128,7 @@ def explore_all(
     while executions < max_executions:
         decider = PrefixDecider(cur)
         result = factory().run(decider, max_steps=max_steps,
-                               race_detection=race_detection,
-                               sc_upgrade=sc_upgrade, model=model)
+                               race_detection=race_detection, model=model)
         executions += 1
         yield result
         trace = decider.trace
@@ -148,15 +146,13 @@ def explore_random(
     seed: int = 0,
     max_steps: int = 100_000,
     race_detection: bool = True,
-    sc_upgrade: bool = False,
     model=None,
 ) -> Iterator[ExecutionResult]:
     """Run ``runs`` independent executions with seeded random decisions."""
     for i in range(runs):
         decider = RandomDecider(seed + i)
         yield factory().run(decider, max_steps=max_steps,
-                            race_detection=race_detection,
-                            sc_upgrade=sc_upgrade, model=model)
+                            race_detection=race_detection, model=model)
 
 
 def check_all(

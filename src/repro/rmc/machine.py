@@ -126,18 +126,11 @@ class Machine:
         decider: Decider,
         max_steps: int = 100_000,
         race_detection: bool = True,
-        sc_upgrade: bool = False,
         model=None,
     ):
         self.program = program
         self.decider = decider
         self.max_steps = max_steps
-        #: Ablation knob: execute every atomic access/fence at seq-cst.
-        #: Separates *algorithmic* weakness from *memory-model* weakness —
-        #: e.g. the Herlihy–Wing queue's non-FIFO commit order survives
-        #: the upgrade (its need for prophecy is algorithmic), while all
-        #: litmus weak outcomes vanish.
-        self.sc_upgrade = sc_upgrade
         # Imported lazily: repro.models imports rmc leaf modules, so a
         # module-level import here would cycle when the models package is
         # the entry point.
@@ -206,7 +199,6 @@ class Machine:
             fp = th.footprint
             if fp is None:
                 fp = th.footprint = op_footprint(tid, th.pending,
-                                                 self.sc_upgrade,
                                                  model=self.model)
             fps.append(fp)
         return tuple(fps)
@@ -229,11 +221,6 @@ class Machine:
     # Operation semantics
     # ------------------------------------------------------------------
     def _execute(self, th: ThreadState, op: Op) -> Any:
-        if self.sc_upgrade and hasattr(op, "mode") and \
-                op.mode is not Mode.NA:
-            op.mode = Mode.SC
-            if isinstance(op, Cas):
-                op.fail_mode = Mode.SC
         entry = _STEPS.get(type(op)) or _step_entry(op)
         handler, what, modes = entry
         if modes is not None and op.mode not in modes:
@@ -383,8 +370,7 @@ def _step_entry(op: Op):
 
 
 def run(program, decider: Decider, max_steps: int = 100_000,
-        race_detection: bool = True,
-        sc_upgrade: bool = False, model=None) -> ExecutionResult:
+        race_detection: bool = True, model=None) -> ExecutionResult:
     """Run ``program`` to completion under ``decider``."""
     return Machine(program, decider, max_steps, race_detection,
-                   sc_upgrade=sc_upgrade, model=model).run()
+                   model=model).run()

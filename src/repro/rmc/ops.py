@@ -172,13 +172,8 @@ class Footprint:
                          mode=data["m"], sc=data["sc"], hooked=data["h"])
 
 
-def op_footprint(tid: int, op: Op, sc_upgrade: bool = False,
-                 model=None) -> Footprint:
+def op_footprint(tid: int, op: Op, model=None) -> Footprint:
     """The footprint of thread ``tid``'s pending operation ``op``.
-
-    ``sc_upgrade`` mirrors the machine's ablation knob: every non-NA
-    access executes at seq-cst, so the footprint must account for the
-    upgraded mode *before* the machine mutates the op at execution time.
 
     ``model`` is the memory model the machine executes under (id,
     instance, or None for the default): the footprint reflects the mode
@@ -192,8 +187,6 @@ def op_footprint(tid: int, op: Op, sc_upgrade: bool = False,
         from ..models.base import get_model
         model = get_model(model)
     mode = getattr(op, "mode", None)
-    if sc_upgrade and mode is not None and mode is not Mode.NA:
-        mode = Mode.SC
     if isinstance(op, Load):
         emode = model.read_mode(mode)
         return Footprint(tid, "read", op.loc, emode.value,
@@ -205,10 +198,8 @@ def op_footprint(tid: int, op: Op, sc_upgrade: bool = False,
                          model.footprint_sc("write", emode),
                          op.commit is not None)
     if isinstance(op, Cas):
-        fail = Mode.SC if (sc_upgrade and op.fail_mode is not Mode.NA) \
-            else op.fail_mode
         emode = model.rmw_mode(mode)
-        efail = model.fail_mode(fail)
+        efail = model.fail_mode(op.fail_mode)
         return Footprint(tid, "rmw", op.loc, emode.value,
                          model.footprint_sc("rmw", emode)
                          or model.footprint_sc("rmw", efail),

@@ -61,13 +61,12 @@ class Program:
         decider: Optional[Decider] = None,
         max_steps: int = 100_000,
         race_detection: bool = True,
-        sc_upgrade: bool = False,
         model=None,
     ) -> ExecutionResult:
         """Run one execution (random schedule by default)."""
         decider = decider if decider is not None else RandomDecider()
         return Machine(self, decider, max_steps, race_detection,
-                       sc_upgrade=sc_upgrade, model=model).run()
+                       model=model).run()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Program({self.name!r}, {len(self.threads)} threads)"

@@ -293,6 +293,7 @@ class CampaignDaemon:
                           f"accounting")
 
         def on_event(kind: str, **fields) -> None:
+            # The run's event subscriber (`repro.engine.telemetry`).
             # WAL-before-action: each record lands (and may crash at
             # its fault site) before the transition it describes.
             if kind == "grant":
@@ -313,7 +314,7 @@ class CampaignDaemon:
 
         coord = Coordinator(params, spec, dist,
                             listener=self._node_listener,
-                            on_event=on_event,
+                            subscriber=on_event,
                             token_floor=job.token_floor)
         with self._lock:
             self._coord = coord

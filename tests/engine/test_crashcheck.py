@@ -116,6 +116,26 @@ class TestCheckState:
         assert any("never produced" in v for v in found)
 
 
+class TestRecordedTrace:
+    def test_the_recorded_trace_is_pinned(self, facts):
+        """The scripted campaign's durable I/O, op by op: four shards,
+        each a WAL grant and merge then a checkpoint line; the capped
+        corpus flush; the flush marker; the report; the WAL ``done``.
+        The distinct-state count pins the bytes too."""
+        wal = ("append", "wal.jsonl", "service.wal")
+        mark = ("mark", "", "")
+        ckpt = ("append", "checkpoint.jsonl", "checkpoint.append")
+        corpus = ("append", "corpus.jsonl", "corpus.append")
+        assert [(op.kind, op.path, op.site) for op in facts.ops] == (
+            [wal, mark, wal]
+            + [wal, wal, ckpt] * 4
+            + [corpus] * 12
+            + [ckpt, ("replace", "report.json", "service.report"), wal,
+               mark])
+        assert len({state.digest()
+                    for state in crash_states(facts.ops)}) == 143
+
+
 class TestRunCrashcheck:
     def test_enumeration_is_complete_even_under_a_check_limit(self):
         report = run_crashcheck(limit=5)

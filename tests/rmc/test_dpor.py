@@ -2,6 +2,8 @@
 equivalence suite (DPOR-on vs DPOR-off must agree on every observable
 verdict while exploring fewer interleavings)."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -67,13 +69,14 @@ class TestFootprint:
             Footprint(0, "alloc", None, "", False, True)
         assert op_footprint(0, GhostCommit(lambda ctx: None)).kind == "ghost"
 
-    def test_sc_upgrade_applies_before_execution(self):
-        """The ablation mutates op modes at execution time; the footprint
-        must account for the upgrade ahead of the scheduling decision."""
-        assert op_footprint(0, Load(1, RLX), sc_upgrade=True).sc
-        assert op_footprint(0, Cas(1, 0, 1, RLX), sc_upgrade=True).sc
+    def test_sc_model_footprint_is_seq_cst(self):
+        """Under the ``sc`` model every atomic executes seq-cst; the
+        footprint reflects the mode the op executes at, not the one it
+        was written with."""
+        assert op_footprint(0, Load(1, RLX), model="sc").sc
+        assert op_footprint(0, Cas(1, 0, 1, RLX), model="sc").sc
         # Non-atomics stay non-atomic under the upgrade.
-        assert not op_footprint(0, Load(1, NA), sc_upgrade=True).sc
+        assert not op_footprint(0, Load(1, NA), model="sc").sc
 
     def test_json_round_trip(self):
         fp = Footprint(3, "rmw", 17, RLX.value, True, True)
@@ -397,6 +400,34 @@ def recording(factory, on_run):
     return make
 
 
+def written_seq_cst(factory):
+    """``factory`` whose programs have every atomic access and fence
+    rewritten to seq-cst in the source, before the machine sees it."""
+    def strengthen(op):
+        if getattr(op, "mode", NA) is NA:
+            return op
+        if isinstance(op, Cas):
+            return dataclasses.replace(op, mode=SC, fail_mode=SC)
+        return dataclasses.replace(op, mode=SC)
+
+    def wrap(body):
+        def strengthened(env):
+            gen = body(env)
+            result = None
+            try:
+                while True:
+                    result = yield strengthen(gen.send(result))
+            except StopIteration as stop:
+                return stop.value
+        return strengthened
+
+    def make():
+        program = factory()
+        program.threads = [wrap(body) for body in program.threads]
+        return program
+    return make
+
+
 def bookkeeping(decider):
     return (list(decider.trace), list(decider.footprints),
             list(decider.entry_sleeps), decider.pruned)
@@ -498,29 +529,30 @@ class FootprintAudit(Decider):
 
     wants_footprints = True
 
-    def __init__(self, inner, machine_kw):
+    def __init__(self, inner):
         super().__init__()
         self.inner = inner
         self.trace = inner.trace
         self.inherited = inner.inherited
-        self.sc_upgrade = machine_kw.get("sc_upgrade", False)
         self.machine = None
         self.checked = 0
+        self.modes = set()
 
     def choose(self, n, footprints=None):
         if footprints is not None:
             for fp in footprints:
                 pending = self.machine.threads[fp.thread].pending
                 assert fp == op_footprint(fp.thread, pending,
-                                          self.sc_upgrade,
                                           model=self.machine.model)
             self.checked += len(footprints)
+            self.modes.update(fp.mode for fp in footprints)
         return self.inner.choose(n, footprints)
 
 
 class TestFootprintCache:
     """Cached per-thread footprints equal freshly computed ones, under
-    every mode-changing knob."""
+    every memory model, and for programs written all-seq-cst (the
+    SC-upgrade ablation itself is the ``sc`` model)."""
 
     FACTORIES = [CATALOGUE["SB+rlx"], CATALOGUE["MP+rel+acq"],
                  CATALOGUE["IRIW+acq"],
@@ -528,23 +560,28 @@ class TestFootprintCache:
                  stress_factory("treiber/rel-acq", 2, 1),
                  stress_factory("elim-stack", 2, 1)]
 
-    @pytest.mark.parametrize("model,sc_upgrade", [
+    @pytest.mark.parametrize("model,all_sc", [
         ("orc11", False), ("tso", False), ("sc", False), ("orc11", True)])
-    def test_cached_footprints_are_fresh(self, model, sc_upgrade):
+    def test_cached_footprints_are_fresh(self, model, all_sc):
         audits = []
 
         def on_run(program, _run, decider, kwargs):
-            audit = FootprintAudit(decider, kwargs)
+            audit = FootprintAudit(decider)
             machine = Machine(program, audit, kwargs["max_steps"],
                               kwargs["race_detection"],
-                              sc_upgrade=kwargs["sc_upgrade"],
                               model=kwargs["model"])
             audit.machine = machine
             audits.append(audit)
             return machine.run()
 
         for factory in self.FACTORIES:
+            if all_sc:
+                factory = written_seq_cst(factory)
             list(explore_all_dpor(recording(factory, on_run),
                                   max_steps=2000, max_executions=40,
-                                  sc_upgrade=sc_upgrade, model=model))
+                                  model=model))
         assert sum(a.checked for a in audits) > 0
+        if all_sc:
+            modes = set().union(*(a.modes for a in audits))
+            assert SC.value in modes
+            assert modes <= {SC.value, NA.value, ""}

@@ -359,11 +359,14 @@ class TestModeValidation:
 
 
 class TestScUpgrade:
+    """The SC-upgrade ablation (E11) is the ``sc`` memory model: every
+    atomic executes seq-cst, non-atomics stay non-atomic."""
+
     def test_upgrade_removes_weak_mp(self):
         from repro.rmc.litmus import message_passing
         factory = message_passing(RLX, RLX)
         outs = set()
-        for r in explore_all(factory, sc_upgrade=True):
+        for r in explore_all(factory, model="sc"):
             if r.ok:
                 outs.add(r.returns[1])
         assert (1, 0) not in outs
@@ -372,7 +375,7 @@ class TestScUpgrade:
     def test_upgrade_removes_sb_weak_outcome(self):
         from repro.rmc.litmus import store_buffering
         outs = set()
-        for r in explore_all(store_buffering(RLX, RLX), sc_upgrade=True):
+        for r in explore_all(store_buffering(RLX, RLX), model="sc"):
             if r.ok:
                 outs.add((r.returns[0], r.returns[1]))
         assert (0, 0) not in outs
@@ -382,7 +385,7 @@ class TestScUpgrade:
         from repro.rmc.litmus import na_publication
         from repro.rmc import explore_all as ea
         raced = sum(1 for r in ea(na_publication(RLX, RLX),
-                                  sc_upgrade=True) if r.race)
+                                  model="sc") if r.race)
         # The rlx flag accesses become SC (synchronizing), so the race
         # disappears; NA data accesses themselves stay NA.
         assert raced == 0
